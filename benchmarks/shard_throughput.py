@@ -4,20 +4,22 @@ Measures what an online-growing MDB pays to *adopt* a single inserted
 document — the serving-pause cost the sharded plane exists to remove —
 by running the same insert stream against both plane shapes:
 
-* **full rebuild** — the monolithic
-  :class:`~repro.cloud.plane.SearchPlane`: every insert recompiles the
-  entire store (concatenate, offsets, norm cache from scratch);
+* **full rebuild** — a one-shard
+  :class:`~repro.cloud.shards.ShardedSearchPlane` wide enough to hold
+  every insert: each insert changes its only shard's content address,
+  so it recompiles the entire store (concatenate, offsets, norm cache
+  from scratch);
 * **delta refresh** — the :class:`~repro.cloud.shards.ShardedSearchPlane`:
   content-addressed reuse recompiles only the trailing delta shard and
   re-warms only its caches; every untouched shard keeps its compiled
   core, norms and coarse index.
 
 Both arms time ``refresh()`` **plus** the norm and coarse-index
-warm-up for the serving configuration (the two-stage screen is the
-production serving path), i.e. the full cost until the next request
-can be served at steady state.  Query cost is deliberately excluded —
-it is identical by the bit-identity contract (checked here after every
-insert) and would only dilute the adoption-cost signal.
+warm-up (the caches the ``fast`` two-stage screen serves from), i.e.
+the full cost until the next request can be served at steady state.
+Query cost is deliberately excluded — it is identical by the
+bit-identity contract (checked here after every insert) and would only
+dilute the adoption-cost signal.
 
 Used by ``test_bench_shard_throughput.py`` and the
 ``check_regression.py`` CI gate (delta speedup floored at 5x).
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cloud.plane import SearchPlane
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
 from repro.cloud.shards import ShardedSearchPlane
 from repro.eval.experiments.common import ExperimentFixture, filtered_frame
@@ -101,9 +102,9 @@ def run_shard_throughput(
         mdb.insert_document(
             slice_to_document(sig_slice, dataset="bench", channel="Fp1")
         )
-    mono = SearchPlane(mdb)
+    mono = ShardedSearchPlane(mdb, shard_slices=len(mdb) + n_inserts)
     sharded = ShardedSearchPlane(mdb, shard_slices=shard_slices)
-    config = SearchConfig(two_stage="lossless", frame_samples=frame_samples)
+    config = SearchConfig(frame_samples=frame_samples)
     engine = SlidingWindowSearch(config, precompute=True)
     recording = EEGGenerator(seed=seed).record(float(n_inserts + 2))
     rng = np.random.default_rng(seed)
@@ -114,9 +115,9 @@ def run_shard_throughput(
 
     # Warm both arms: steady-state servers have compiled planes plus
     # norm and coarse caches before the first online insert arrives.
-    warm(mono.core)
-    for shard in sharded.pin().shards:
-        warm(shard.core)
+    for plane in (mono, sharded):
+        for shard in plane.pin().shards:
+            warm(shard.core)
 
     full_s = 0.0
     delta_s = 0.0
@@ -135,7 +136,8 @@ def run_shard_throughput(
 
         started = time.perf_counter()
         mono.refresh()
-        warm(mono.core)
+        for shard in mono.pin().shards:
+            warm(shard.core)
         full_s += time.perf_counter() - started
 
         started = time.perf_counter()

@@ -1,17 +1,18 @@
 """Cloud Search stage: cross-correlation search over the MDB (§V-B).
 
 * :mod:`repro.cloud.results` — match/result containers and statistics.
-* :mod:`repro.cloud.plane` — the compiled search plane: the MDB as
+* :mod:`repro.cloud.plane` — the compiled plane core: slices as
   contiguous arrays with cached window statistics and a shared-memory
   export for worker pools.
 * :mod:`repro.cloud.search` — the search engine with pluggable skip
   policies: Algorithm 1's exponential sliding window and the
   exhaustive (β = 1) baseline it is compared against in Figs. 7 & 11.
-* :mod:`repro.cloud.shards` — the sharded plane: independently
-  compiled, content-addressed segments with incremental (delta-shard)
+* :mod:`repro.cloud.shards` — the compiled search plane: independently
+  compiled, content-addressed shards with incremental (delta-shard)
   recompilation behind immutable per-generation epochs.
-* :mod:`repro.cloud.parallel` — sample-balanced partitioning plus the
-  persistent shared-memory worker pool.
+* :mod:`repro.cloud.coarse` — the two-stage ``fast`` coarse screen.
+* :mod:`repro.cloud.parallel` — sample-balanced shard partitioning
+  plus the persistent shared-memory worker pool.
 * :mod:`repro.cloud.server` — the CloudServer facade used by the
   closed-loop framework, combining the plane, a search engine and the
   timing model.
@@ -32,9 +33,8 @@ from repro.cloud.parallel import (
     ParallelSearch,
     merge_results,
     partition_indices,
-    partition_slices,
 )
-from repro.cloud.plane import PlaneCore, SearchPlane
+from repro.cloud.plane import PlaneCore
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.search import (
     CorrelationSearch,
@@ -67,13 +67,11 @@ __all__ = [
     "ResilientCloudClient",
     "SearchConfig",
     "SearchMatch",
-    "SearchPlane",
     "SearchResult",
     "ShardEpoch",
     "ShardedSearchPlane",
     "SlidingWindowSearch",
     "merge_results",
     "partition_indices",
-    "partition_slices",
     "validate_payload",
 ]

@@ -2,19 +2,20 @@
 
 The paper slices each signal "to enable the search algorithm to quickly
 search through the complete database in parallel" (§V-B).  This module
-provides that execution strategy: the signal-set space is partitioned
-into chunks balanced by **total sample count** (variable-length slices
-would skew workers under round-robin), each chunk is searched
-independently (serially or on a process pool), and the per-chunk top-K
-sets are merged into the global signal correlation set.
+provides that execution strategy: the compiled plane's shards are
+partitioned into chunks balanced by **total sample count**
+(variable-length slices would skew workers under round-robin), each
+chunk is searched independently (serially or on a process pool), and
+the per-chunk top-K sets are merged into the global signal correlation
+set.
 
-The pool is **persistent**: workers attach to the plane's
-shared-memory segment in their initializer and keep their own window
+The pool is **persistent**: workers attach to the shards'
+shared-memory segments in their initializer and keep their own window
 norm caches alive across requests, so a search request ships only the
-256-sample frame and the chunk's slice ids — never pickled slice data.
+256-sample frame and the chunk's shard ids — never pickled slice data.
 The pool is rebuilt automatically when the plane's generation moves
-(an MDB insert invalidated the compiled arrays); ``close()`` or the
-context-manager protocol releases workers and shared memory.
+(an MDB insert recompiled shards); ``close()`` or the context-manager
+protocol releases workers and shared memory.
 
 Merging is exact: each chunk returns its own top-K, and the global
 top-K is a subset of the union of chunk top-Ks, so the result is
@@ -34,17 +35,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cloud.plane import PlaneCore, PlaneShareSpec, SearchPlane
+from repro.cloud.plane import PlaneCore
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.search import (
     CorrelationSearch,
     ExponentialSkipPolicy,
     SearchConfig,
     SkipPolicy,
-    PlaneWalker,
     TopK,
-    screen_plane,
-    screen_shard_cores,
+    walk_cores,
 )
 from repro.cloud.shards import ShardedSearchPlane, ShardedShareSpec
 from repro.errors import SearchError
@@ -77,17 +76,6 @@ def partition_indices(
     for chunk in chunks:
         chunk.sort()
     return chunks
-
-
-def partition_slices(
-    slices: Sequence[SignalSlice], n_chunks: int
-) -> list[list[SignalSlice]]:
-    """Split the signal-set list into chunks balanced by sample count."""
-    items = list(slices)
-    return [
-        [items[i] for i in chunk]
-        for chunk in partition_indices([len(s) for s in items], n_chunks)
-    ]
 
 
 def merge_results(
@@ -126,103 +114,26 @@ def merge_results(
 class _ChunkOutcome:
     """A worker's compact return value: statistics plus index-keyed hits.
 
-    Matches travel as ``(slice_index, omega, offset)`` tuples — the
-    parent rebinds them to its own :class:`SignalSlice` objects, so no
-    slice data or metadata crosses the process boundary.
+    ``result`` carries the chunk's statistics (no matches); matches
+    travel as ``(slice_index, omega, offset)`` tuples — the parent
+    rebinds them to its own :class:`SignalSlice` objects, so no slice
+    data or metadata crosses the process boundary.
     """
 
-    correlations_evaluated: int
-    slices_searched: int
-    candidates_above_threshold: int
-    heap_admissions: int
-    elapsed_s: float
+    result: SearchResult
     hits: list[tuple[int, float, int]]
-    slices_pruned: int = 0
-    coarse_elapsed_s: float = 0.0
 
 
-class _WorkerPlane:
-    """Per-worker-process search state over the attached shared plane.
+class _WorkerShards:
+    """Per-worker-process search state over the attached shard cores.
 
-    Lives for the worker's whole lifetime: the plane core (and its
+    Attaches every shard's segment once at pool construction and lives
+    for the worker's whole lifetime: the cores (and their
     per-frame-length norm caches) persist across requests, which is
-    where the pool amortises the query-independent work.
-    """
-
-    def __init__(
-        self, spec: PlaneShareSpec, config: SearchConfig, policy: SkipPolicy
-    ) -> None:
-        self.core: PlaneCore | None
-        self.core, self._segment = spec.attach()
-        self.config = config
-        self.policy = policy
-
-    def search_chunk(
-        self, frame: np.ndarray, chunk_ids: Sequence[int]
-    ) -> _ChunkOutcome:
-        if self.core is None:
-            raise SearchError("worker plane already released")
-        started = time.perf_counter()
-        query = np.asarray(frame, dtype=np.float64)
-        centered = query - query.mean()
-        norm = float(np.linalg.norm(centered))
-        cache = self.core.ensure_norms(self.config.frame_samples)
-        top: TopK[tuple[int, float, int]] = TopK(self.config.top_k)
-        # Two-stage screening in the worker: per-slice verdicts are a
-        # global pure function of (plane, query, config), so every
-        # chunk reaches the same decisions the single-engine path does
-        # and the merged results stay identical.
-        walk_ids: Sequence[int] = chunk_ids
-        n_pruned = 0
-        synthetic = 0
-        coarse_s = 0.0
-        outcome = screen_plane(
-            self.core, self.config, self.policy, centered, norm
-        )
-        if outcome is not None:
-            walk_ids, n_pruned, synthetic = outcome.apply(chunk_ids)
-            coarse_s = outcome.elapsed_s
-        walker = PlaneWalker(
-            self.core,
-            centered,
-            norm,
-            cache,
-            self.policy,
-            self.config.delta,
-            self.config.dedupe_per_slice,
-            indices=walk_ids,
-        )
-        hits, evaluated, above = walker.walk_all()
-        for index, omega, offset in hits:
-            top.offer(omega, (index, omega, offset))
-        return _ChunkOutcome(
-            correlations_evaluated=evaluated + synthetic,
-            slices_searched=len(chunk_ids),
-            candidates_above_threshold=above,
-            heap_admissions=top.admissions,
-            elapsed_s=time.perf_counter() - started,
-            hits=top.sorted_items(),
-            slices_pruned=n_pruned,
-            coarse_elapsed_s=coarse_s,
-        )
-
-    def release(self) -> None:
-        """Drop array views, then close the shared-memory mapping."""
-        self.core = None
-        try:
-            self._segment.close()
-        except BufferError:  # pragma: no cover - exports still alive
-            pass
-
-
-class _ShardWorkerPlane:
-    """Per-worker search state over an attached *sharded* plane.
-
-    Attaches every shard's segment once at pool construction; a chunk
-    request then names the **shard ids** to walk.  Screening stays
-    global (all shard cores) so the per-slice verdicts match the
-    in-process path exactly; hits come back keyed by global slice
-    index, rebased from each shard's ``bases`` entry.
+    where the pool amortises the query-independent work.  A chunk
+    request names the **shard ids** to walk; screening stays global
+    (all shard cores) inside :func:`~repro.cloud.search.walk_cores`,
+    so per-slice verdicts match the in-process path exactly.
     """
 
     def __init__(
@@ -247,52 +158,20 @@ class _ShardWorkerPlane:
         query = np.asarray(frame, dtype=np.float64)
         centered = query - query.mean()
         norm = float(np.linalg.norm(centered))
+        ((result, hits),) = walk_cores(
+            self.cores,
+            self.bases,
+            [(centered, norm)],
+            self.config,
+            self.policy,
+            scan=chunk_ids,
+        )
         top: TopK[tuple[int, float, int]] = TopK(self.config.top_k)
-        outcome = screen_shard_cores(
-            self.cores, self.config, self.policy, centered, norm
-        )
-        coarse_s = outcome.elapsed_s if outcome is not None else 0.0
-        n_pruned = 0
-        synthetic_total = 0
-        evaluated_total = 0
-        above_total = 0
-        slices_searched = 0
-        for k in chunk_ids:
-            core = self.cores[k]
-            base = self.bases[k]
-            scan = range(base, base + core.n_slices)
-            walk_ids: Sequence[int] | None = None
-            if outcome is not None:
-                kept, pruned, synthetic = outcome.apply(scan)
-                n_pruned += pruned
-                synthetic_total += synthetic
-                walk_ids = kept - base
-            walker = PlaneWalker(
-                core,
-                centered,
-                norm,
-                core.ensure_norms(self.config.frame_samples),
-                self.policy,
-                self.config.delta,
-                self.config.dedupe_per_slice,
-                indices=walk_ids,
-            )
-            hits, evaluated, above = walker.walk_all()
-            evaluated_total += evaluated
-            above_total += above
-            slices_searched += len(scan)
-            for index, omega, offset in hits:
-                top.offer(omega, (base + index, omega, offset))
-        return _ChunkOutcome(
-            correlations_evaluated=evaluated_total + synthetic_total,
-            slices_searched=slices_searched,
-            candidates_above_threshold=above_total,
-            heap_admissions=top.admissions,
-            elapsed_s=time.perf_counter() - started,
-            hits=top.sorted_items(),
-            slices_pruned=n_pruned,
-            coarse_elapsed_s=coarse_s,
-        )
+        for hit in hits:
+            top.offer(hit[1], hit)
+        result.heap_admissions = top.admissions
+        result.elapsed_s = time.perf_counter() - started
+        return _ChunkOutcome(result=result, hits=top.sorted_items())
 
     def release(self) -> None:
         """Drop array views, then close the shared-memory mappings."""
@@ -306,7 +185,7 @@ class _ShardWorkerPlane:
 
 #: The attached plane state of this worker process (set by the pool
 #: initializer; ``None`` in the parent).
-_WORKER_STATE: _WorkerPlane | _ShardWorkerPlane | None = None
+_WORKER_STATE: _WorkerShards | None = None
 
 
 def _worker_cleanup() -> None:  # pragma: no cover - runs in workers
@@ -317,15 +196,12 @@ def _worker_cleanup() -> None:  # pragma: no cover - runs in workers
 
 
 def _pool_initializer(
-    spec: PlaneShareSpec | ShardedShareSpec,
+    spec: ShardedShareSpec,
     config: SearchConfig,
     policy: SkipPolicy,
 ) -> None:  # pragma: no cover - runs in workers
     global _WORKER_STATE
-    if isinstance(spec, ShardedShareSpec):
-        _WORKER_STATE = _ShardWorkerPlane(spec, config, policy)
-    else:
-        _WORKER_STATE = _WorkerPlane(spec, config, policy)
+    _WORKER_STATE = _WorkerShards(spec, config, policy)
     atexit.register(_worker_cleanup)
 
 
@@ -338,16 +214,17 @@ def _pool_search_chunk(
 
 
 class ParallelSearch:
-    """Chunked Algorithm 1 over a compiled search plane.
+    """Chunked Algorithm 1 over a compiled, sharded search plane.
 
     ``n_workers=1`` (the default) runs chunks serially in-process —
     useful to bound peak memory and to test the merge path.  With
     ``n_workers > 1`` chunks run on a **persistent** process pool:
-    workers attach to the plane's shared-memory segment once, at pool
+    workers attach to the shards' shared-memory segments once, at pool
     construction, and repeated :meth:`search` calls reuse both the
     pool and the workers' cached window statistics.  The engine may be
     bound to a plane up front (``plane=``), fed one per call, or given
-    a plain slice list (compiled into an owned plane on first use).
+    a plain slice list — compiled into an owned plane with one shard
+    per chunk.
     """
 
     def __init__(
@@ -355,7 +232,7 @@ class ParallelSearch:
         config: SearchConfig | None = None,
         n_chunks: int = 4,
         n_workers: int = 1,
-        plane: SearchPlane | ShardedSearchPlane | None = None,
+        plane: ShardedSearchPlane | None = None,
         policy: SkipPolicy | None = None,
     ) -> None:
         if n_chunks < 1:
@@ -384,16 +261,15 @@ class ParallelSearch:
     # -- plane binding -----------------------------------------------
 
     def bind(
-        self,
-        source: SearchPlane | ShardedSearchPlane | Sequence[SignalSlice],
-    ) -> SearchPlane | ShardedSearchPlane:
+        self, source: ShardedSearchPlane | Sequence[SignalSlice]
+    ) -> ShardedSearchPlane:
         """Make ``source`` the engine's current plane (compiling it if
         it is a plain slice list).
 
         Rebinding retires the previous binding deterministically: the
         worker pool (whose workers hold attachments to the previous
         plane's shared-memory segments) is shut down, and a previous
-        plane the engine compiled itself is closed so its segment is
+        plane the engine compiled itself is closed so its segments are
         released now rather than at interpreter exit.  Binding also
         revives a closed engine — the pool and shared segments are
         rebuilt lazily on the next pooled search.
@@ -403,23 +279,22 @@ class ParallelSearch:
             self._shutdown_pool()
             if self._owns_plane:
                 previous.close()
-        if isinstance(source, (SearchPlane, ShardedSearchPlane)):
+        if isinstance(source, ShardedSearchPlane):
             self.plane = source
             self._owns_plane = False
             self._adhoc_source_id = None
         else:
-            self.plane = SearchPlane(source)
+            self.plane = ShardedSearchPlane(
+                source, shard_slices=max(1, -(-len(source) // self.n_chunks))
+            )
             self._owns_plane = True
             self._adhoc_source_id = id(source)
         self._closed = False
         return self.plane
 
     def _resolve_plane(
-        self,
-        slices: (
-            SearchPlane | ShardedSearchPlane | Sequence[SignalSlice] | None
-        ),
-    ) -> SearchPlane | ShardedSearchPlane:
+        self, slices: ShardedSearchPlane | Sequence[SignalSlice] | None
+    ) -> ShardedSearchPlane:
         plane = self.plane
         if slices is None:
             if plane is None:
@@ -428,7 +303,7 @@ class ParallelSearch:
                     "or bind() one up front"
                 )
             return plane
-        if isinstance(slices, (SearchPlane, ShardedSearchPlane)):
+        if isinstance(slices, ShardedSearchPlane):
             if slices is not plane:
                 return self.bind(slices)
             return slices
@@ -445,23 +320,23 @@ class ParallelSearch:
     def search(
         self,
         frame: np.ndarray,
-        slices: (
-            SearchPlane | ShardedSearchPlane | Sequence[SignalSlice] | None
-        ) = None,
+        slices: ShardedSearchPlane | Sequence[SignalSlice] | None = None,
     ) -> SearchResult:
         """Global top-K search, identical in output to a single engine.
+
+        The plane is partitioned **by shard** (chunks balanced on
+        per-shard sample counts), so workers walk whole independently
+        compiled cores and reuse the shard-local caches.  One epoch is
+        pinned for the whole scatter-gather, so a concurrent
+        ``refresh`` cannot hand different chunks different generations;
+        merging per-chunk top-Ks is exact because the global top-K is a
+        subset of the union of chunk top-Ks.
 
         The whole partitioned search runs inside a
         ``cloud.parallel_search`` root span; the merged result's
         ``elapsed_s`` is that span's wall time (dispatch + chunk scans
         + merge), and ``chunk_elapsed_s`` keeps every chunk's own
         latency so skew between workers stays visible.
-
-        A sharded plane is partitioned **by shard** (chunks balanced on
-        per-shard sample counts) instead of slicing one monolithic
-        layout — chunk boundaries then coincide with independently
-        compiled cores, so workers walk whole shards and reuse the
-        shard-local caches.
         """
         if self._closed:
             raise SearchError(
@@ -472,45 +347,6 @@ class ParallelSearch:
         plane.refresh()
         query = np.asarray(frame, dtype=np.float64)
         self._engine.prepare_query(query)
-        if isinstance(plane, ShardedSearchPlane):
-            return self._search_sharded(query, plane)
-        with obs.trace.span(
-            "cloud.parallel_search",
-            n_chunks=self.n_chunks,
-            n_workers=self.n_workers,
-        ) as span:
-            chunks = partition_indices(plane.slice_lengths(), self.n_chunks)
-            if self.n_workers == 1:
-                partials = [
-                    self._engine.search_plane(query, plane, chunk)
-                    for chunk in chunks
-                ]
-            else:
-                pool = self._ensure_pool(plane)
-                futures = [
-                    pool.submit(_pool_search_chunk, query, chunk)
-                    for chunk in chunks
-                ]
-                partials = [
-                    self._outcome_to_result(future.result(), plane.slices)
-                    for future in futures
-                ]
-            merged = merge_results(partials, self.config.top_k)
-        merged.elapsed_s = span.elapsed_s
-        self._publish_parallel(merged)
-        return merged
-
-    def _search_sharded(
-        self, query: np.ndarray, plane: ShardedSearchPlane
-    ) -> SearchResult:
-        """Partition one pinned epoch's shards across chunks and merge.
-
-        The epoch is pinned once for the whole scatter-gather, so a
-        concurrent ``refresh`` cannot hand different chunks different
-        generations; merging per-chunk top-Ks is exact for the same
-        reason it is in the monolithic path (the global top-K is a
-        subset of the union of chunk top-Ks).
-        """
         epoch = plane.pin()
         with obs.trace.span(
             "cloud.parallel_search",
@@ -552,15 +388,7 @@ class ParallelSearch:
     def _outcome_to_result(
         outcome: _ChunkOutcome, slices: Sequence[SignalSlice]
     ) -> SearchResult:
-        result = SearchResult(
-            correlations_evaluated=outcome.correlations_evaluated,
-            slices_searched=outcome.slices_searched,
-            candidates_above_threshold=outcome.candidates_above_threshold,
-            heap_admissions=outcome.heap_admissions,
-            elapsed_s=outcome.elapsed_s,
-            slices_pruned=outcome.slices_pruned,
-            coarse_elapsed_s=outcome.coarse_elapsed_s,
-        )
+        result = outcome.result
         result.matches = [
             SearchMatch(
                 sig_slice=slices[index], omega=omega, offset=offset
@@ -571,14 +399,12 @@ class ParallelSearch:
 
     # -- pool lifecycle ----------------------------------------------
 
-    def _ensure_pool(
-        self, plane: SearchPlane | ShardedSearchPlane
-    ) -> ProcessPoolExecutor:
+    def _ensure_pool(self, plane: ShardedSearchPlane) -> ProcessPoolExecutor:
         """The persistent worker pool for ``plane``'s current build.
 
         Reused across requests; torn down and rebuilt only when the
         plane object or its generation changes (shared memory holds
-        the *compiled* arrays, so a rebuild invalidates attachments).
+        the *compiled* arrays, so a recompile invalidates attachments).
         """
         key = (id(plane), plane.generation)
         registry = obs.metrics()
@@ -616,7 +442,7 @@ class ParallelSearch:
         self._closed = True
         self._shutdown_pool()
         if self.plane is not None:
-            # Releases only the shared-memory segment(s); the plane's
+            # Releases only the shared-memory segments; the plane's
             # compiled arrays stay usable (for borrowed planes too).
             self.plane.close()
 

@@ -34,8 +34,8 @@ from typing import Callable, Generic, Iterable, Protocol, Sequence, TypeVar
 import numpy as np
 
 from repro import obs
-from repro.cloud.coarse import ScreenOutcome, assemble_fast, assemble_lossless
-from repro.cloud.plane import PlaneCore, PlaneNorms, SearchPlane
+from repro.cloud.coarse import ScreenOutcome, assemble_fast
+from repro.cloud.plane import PlaneCore, PlaneNorms
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.shards import ShardEpoch, ShardedSearchPlane
 from repro.errors import SearchError
@@ -71,16 +71,12 @@ class SearchConfig:
     every-offset pseudocode behaviour.
 
     ``two_stage`` engages the coarse screening pass on compiled-plane
-    searches (``"off"`` | ``"lossless"`` | ``"fast"`` — see
-    :mod:`repro.cloud.coarse`): ``"lossless"`` prunes only slices whose
-    coarse upper bound provably cannot reach a hit (results stay
-    bit-identical; prune rate is data-dependent and surfaced via the
-    ``cloud.plane.coarse.*`` metrics), ``"fast"`` keeps only the
-    ``coarse_keep_fraction`` best-scoring slices (never fewer than
-    ``top_k``), trading a Fig. 11-gated sliver of quality for
-    throughput.  ``coarse_decimation`` is the block size ``D`` of the
-    decimated grid.  Raw-iterable searches (no compiled plane) ignore
-    the setting.
+    searches (``"off"`` | ``"fast"`` — see :mod:`repro.cloud.coarse`):
+    ``"fast"`` keeps only the ``coarse_keep_fraction`` best-scoring
+    slices (never fewer than ``top_k``), trading a Fig. 11-gated sliver
+    of quality for throughput.  ``coarse_decimation`` is the block size
+    ``D`` of the decimated grid.  Raw-iterable searches (no compiled
+    plane) ignore the setting.
     """
 
     frame_samples: int = FRAME_SAMPLES
@@ -110,12 +106,11 @@ class SearchConfig:
             raise SearchError(f"max skip must be >= 1, got {self.max_skip}")
         if self.top_k <= 0:
             raise SearchError(f"top_k must be positive, got {self.top_k}")
-        if self.two_stage not in ("off", "lossless", "fast"):
+        if self.two_stage not in ("off", "fast"):
             raise SearchError(
-                "two_stage must be 'off', 'lossless' or 'fast', got "
-                f"{self.two_stage!r}"
+                f"two_stage must be 'off' or 'fast', got {self.two_stage!r}"
             )
-        if self.two_stage != "off":
+        if self.two_stage == "fast":
             if not (2 <= self.coarse_decimation <= self.frame_samples):
                 raise SearchError(
                     "coarse decimation must be in [2, frame_samples], got "
@@ -199,104 +194,29 @@ class ExponentialSkipPolicy:
         return effective.astype(np.int64)
 
 
-def lossless_walk_params(
-    policy: SkipPolicy, delta: float
-) -> tuple[float, int] | None:
-    """The coarse pass's lossless ``(prune ceiling, constant stride)``.
-
-    A slice may be pruned losslessly only when two things are provable
-    from its coarse upper bound ``u`` alone: it yields no hit, and its
-    skip walk visits a closed-form set of offsets.  For
-    :class:`FixedSkipPolicy` the trajectory never depends on ω, so the
-    ceiling is ``δ`` itself.  For :class:`ExponentialSkipPolicy`, every
-    visited ω lies in ``[0, u]``; with ``k₀ = skip(0)``, the rounded
-    clamp ``skip(ω) = clamp(round(Sα/max(ω, ε)), 1, max_skip)`` stays
-    exactly ``k₀`` for all ``ω < Sα/(k₀ − ½)`` (strict — round half to
-    even makes the boundary itself unsafe), so the ceiling is
-    ``min(δ, Sα/(k₀ − ½))`` and the stride ``k₀``; when ``k₀ = 1`` the
-    skip is 1 for *every* ω (it only shrinks as ω grows), leaving
-    ``δ`` as the ceiling.  Policies this module doesn't know return
-    ``None`` — lossless screening then keeps everything.
-    """
-    if isinstance(policy, FixedSkipPolicy):
-        return delta, policy.step
-    if isinstance(policy, ExponentialSkipPolicy):
-        stride = policy.skip(0.0)
-        if stride <= 1:
-            return delta, 1
-        theta = policy.skip_scale * policy.alpha / (stride - 0.5)
-        return min(delta, theta), stride
-    return None
-
-
-def screen_plane(
-    core: PlaneCore,
-    config: SearchConfig,
-    policy: SkipPolicy,
-    centered: np.ndarray,
-    norm: float,
-) -> ScreenOutcome | None:
-    """Run the configured coarse screen over a plane core.
-
-    Returns ``None`` when two-stage search is off or (lossless mode)
-    the policy admits no provable prune ceiling.  Shared by the
-    in-process engine and the pool workers so every execution mode
-    reaches identical per-slice verdicts.
-    """
-    mode = config.two_stage
-    if mode == "off":
-        return None
-    index = core.ensure_coarse(config.frame_samples, config.coarse_decimation)
-    if mode == "lossless":
-        params = lossless_walk_params(policy, config.delta)
-        if params is None:
-            return None
-        ceiling, stride = params
-        return index.screen_lossless(centered, norm, ceiling, stride)
-    return index.screen_fast(
-        centered, norm, config.coarse_keep_fraction, config.top_k
-    )
-
-
 def screen_shard_cores(
     cores: Sequence[PlaneCore],
     config: SearchConfig,
-    policy: SkipPolicy,
     centered: np.ndarray,
     norm: float,
 ) -> ScreenOutcome | None:
     """One *global* coarse verdict over the shard cores of one epoch.
 
-    Per-slice bounds/scores are pure per-slice functions, so each
-    shard's coarse index produces exactly the values the monolithic
-    index would (:meth:`CoarseIndex.lossless_bounds` /
-    :meth:`~CoarseIndex.fast_scores`); concatenating them in shard
-    order and assembling the verdict globally therefore reaches the
-    identical keep set — critically, fast mode's keep *count* and
-    lexsort tie-break see the whole plane, never one shard.
+    Returns ``None`` when two-stage search is off.  Per-slice scores
+    are pure per-slice functions, so each shard's coarse index produces
+    exactly the values a one-shard index over the whole store would
+    (:meth:`~repro.cloud.coarse.CoarseIndex.fast_scores`); concatenating
+    them in shard order and assembling the verdict globally therefore
+    reaches the identical keep set for any shard width — fast mode's
+    keep *count* and lexsort tie-break see the whole plane, never one
+    shard.
     """
-    mode = config.two_stage
-    if mode == "off":
+    if config.two_stage == "off":
         return None
     indexes = [
         core.ensure_coarse(config.frame_samples, config.coarse_decimation)
         for core in cores
     ]
-    if mode == "lossless":
-        params = lossless_walk_params(policy, config.delta)
-        if params is None:
-            return None
-        ceiling, stride = params
-        started = time.perf_counter()
-        bounds = np.concatenate(
-            [index.lossless_bounds(centered, norm) for index in indexes]
-        )
-        counts = np.concatenate(
-            [index.slice_offset_counts for index in indexes]
-        )
-        return assemble_lossless(
-            bounds, counts, ceiling, stride, time.perf_counter() - started
-        )
     started = time.perf_counter()
     scores = np.concatenate(
         [index.fast_scores(centered, norm) for index in indexes]
@@ -402,8 +322,8 @@ class PlaneWalker:
     and every float op (dots, norms, rounding, clamps) is the same
     IEEE-754 operation, merely batched.
 
-    ``indices`` restricts the bulk work to a chunk of the plane — the
-    partitioned execution path builds one walker per chunk.
+    ``indices`` restricts the bulk work to a subset of the core's
+    slices — the survivors of a two-stage coarse screen.
     """
 
     __slots__ = (
@@ -777,6 +697,113 @@ def _joint_visit(walkers: Sequence[PlaneWalker]) -> list[np.ndarray]:
     return out
 
 
+def walk_cores(
+    cores: Sequence[PlaneCore],
+    bases: Sequence[int],
+    prepared: Sequence[tuple[np.ndarray, float]],
+    config: SearchConfig,
+    policy: SkipPolicy,
+    scan: Sequence[int] | None = None,
+    joint: bool = False,
+) -> list[tuple[SearchResult, list[tuple[int, float, int]]]]:
+    """Algorithm 1 for prepared queries over the shard cores of one epoch.
+
+    The one compiled search path: the in-process engine (single and
+    batched) and the pool workers all run it.  Each query is screened
+    once over *all* cores (:func:`screen_shard_cores`), then walked
+    with one :class:`PlaneWalker` per scanned shard.  ``scan`` names
+    the shard ids to walk (default: every shard), which is how pooled
+    workers split an epoch.  ``joint`` advances every (query, shard)
+    walk together in one level-synchronous loop (:func:`_joint_visit`),
+    amortising the per-round vector ops across a batch; otherwise each
+    walker runs its own successor-table walk, which is faster for a
+    single query.
+
+    Returns, per query, a :class:`SearchResult` carrying the statistics
+    (no matches or timing yet) and its hits as ``(global slice index,
+    ω, offset)`` in admission order: shards ascending, each shard's
+    hits in scan order.  That is exactly a one-shard plane's order, so
+    heap tie-breaks — and with them every result — are the same for any
+    shard width.
+    """
+    shard_ids = range(len(cores)) if scan is None else scan
+    scanned = sum(cores[k].n_slices for k in shard_ids)
+    norms = {k: cores[k].ensure_norms(config.frame_samples) for k in shard_ids}
+    walkers: list[PlaneWalker] = []  # query-major, shard-minor
+    results: list[SearchResult] = []
+    for centered, norm in prepared:
+        outcome = screen_shard_cores(cores, config, centered, norm)
+        result = SearchResult(slices_searched=scanned)
+        for k in shard_ids:
+            walk_ids: np.ndarray | None = None
+            if outcome is not None:
+                base = bases[k]
+                kept, pruned = outcome.apply(
+                    range(base, base + cores[k].n_slices)
+                )
+                walk_ids = kept - base
+                result.slices_pruned += pruned
+            walkers.append(
+                PlaneWalker(
+                    cores[k],
+                    centered,
+                    norm,
+                    norms[k],
+                    policy,
+                    config.delta,
+                    config.dedupe_per_slice,
+                    indices=walk_ids,
+                )
+            )
+        if outcome is not None:
+            result.coarse_elapsed_s = outcome.elapsed_s
+            _publish_screen(outcome, scanned, result.slices_pruned)
+        results.append(result)
+    if (
+        joint
+        and len(walkers) > 1
+        and sum(walker.total_positions for walker in walkers)
+        <= _JOINT_POSITION_BUDGET
+        and getattr(policy, "step", None) is None
+        and getattr(policy, "skip_table", None) is not None
+    ):
+        visited = _joint_visit(walkers)
+        walked = [
+            walker.classify_visited(positions)
+            for walker, positions in zip(walkers, visited)
+        ]
+    else:
+        walked = [walker.walk_all() for walker in walkers]
+    out: list[tuple[SearchResult, list[tuple[int, float, int]]]] = []
+    per_query = iter(walked)
+    for result in results:
+        hits_global: list[tuple[int, float, int]] = []
+        for k in shard_ids:
+            hits, evaluated, above = next(per_query)
+            result.correlations_evaluated += evaluated
+            result.candidates_above_threshold += above
+            base = bases[k]
+            hits_global.extend(
+                (base + index, omega, offset)
+                for index, omega, offset in hits
+            )
+        out.append((result, hits_global))
+    return out
+
+
+def _publish_screen(outcome: ScreenOutcome, scanned: int, pruned: int) -> None:
+    """Record one coarse screen's prune rate and keep floor."""
+    registry = obs.metrics()
+    if not registry.enabled:
+        return
+    registry.inc("cloud.plane.coarse.screens")
+    registry.inc("cloud.plane.coarse.slices_pruned", pruned)
+    if scanned:
+        registry.observe("cloud.plane.coarse.prune_rate", pruned / scanned)
+    registry.observe("cloud.plane.coarse.keep_floor", outcome.margin)
+    registry.observe("cloud.search.stage1_s", outcome.elapsed_s)
+
+
 class ScalarWindowEvaluator:
     """Per-offset O(1) correlation evaluator over one slice.
 
@@ -814,11 +841,10 @@ class CorrelationSearch:
     wall-clock honestly tracks the number of correlations a device
     would evaluate.
 
-    Passing a :class:`~repro.cloud.plane.SearchPlane` instead of a
-    slice iterable (or calling :meth:`search_plane`) reuses the plane's
-    compiled arrays and cached window norms, amortising all
-    query-independent work across requests while replaying the same
-    walk.
+    Passing a :class:`~repro.cloud.shards.ShardedSearchPlane` instead
+    of a slice iterable reuses the plane's compiled arrays and cached
+    window norms, amortising all query-independent work across
+    requests while replaying the same walk.
     """
 
     def __init__(
@@ -832,7 +858,12 @@ class CorrelationSearch:
         self.precompute = precompute
 
     def prepare_query(self, frame: np.ndarray) -> tuple[np.ndarray, float]:
-        """Validate and centre the query frame; returns (centred, norm)."""
+        """Validate and centre the query frame; returns (centred, norm).
+
+        Raises :class:`~repro.errors.SearchError` for a frame of the
+        wrong shape or one holding NaN/inf samples.  A flat frame is
+        valid: its norm is 0 and it correlates with nothing.
+        """
         query = np.asarray(frame, dtype=np.float64)
         if query.ndim != 1:
             raise SearchError(f"input frame must be 1-D, got shape {query.shape}")
@@ -841,24 +872,23 @@ class CorrelationSearch:
                 f"input frame must have {self.config.frame_samples} samples, "
                 f"got {query.size}"
             )
+        if not np.isfinite(query).all():
+            raise SearchError("input frame holds NaN or infinite samples")
         centered = query - query.mean()
         return centered, float(np.linalg.norm(centered))
 
     def search(
         self,
         frame: np.ndarray,
-        slices: Iterable[SignalSlice] | SearchPlane | ShardedSearchPlane,
+        slices: Iterable[SignalSlice] | ShardedSearchPlane,
     ) -> SearchResult:
         """Return the top-K correlation set for ``frame`` over ``slices``.
 
         The frame must be the bandpass-filtered one-second input
         ``B_N`` (256 samples by default).  ``slices`` may be a plain
-        iterable of signal-sets, a compiled
-        :class:`~repro.cloud.plane.SearchPlane`, or a
+        iterable of signal-sets or a compiled
         :class:`~repro.cloud.shards.ShardedSearchPlane`.
         """
-        if isinstance(slices, SearchPlane):
-            return self.search_plane(frame, slices)
         if isinstance(slices, ShardedSearchPlane):
             return self.search_shards(frame, slices)
         centered, norm = self.prepare_query(frame)
@@ -872,379 +902,103 @@ class CorrelationSearch:
         self._finish(result, top, span)
         return result
 
-    def search_plane(
-        self,
-        frame: np.ndarray,
-        plane: SearchPlane,
-        indices: Sequence[int] | None = None,
-    ) -> SearchResult:
-        """Top-K search over (a subset of) a compiled plane.
-
-        ``indices`` restricts the scan to those plane slices — the
-        partitioned execution path ships only chunk ids to workers.
-        Matches and statistics are bit-identical to :meth:`search` over
-        the same signal-sets.
-        """
-        centered, norm = self.prepare_query(frame)
-        cache = plane.ensure_norms(self.config.frame_samples)
-        result = SearchResult()
-        top: TopK[SearchMatch] = TopK(self.config.top_k)
-        with obs.trace.span("cloud.search") as span:
-            scan: Sequence[int] | range = (
-                indices if indices is not None else range(plane.n_slices)
-            )
-            walk_ids: Sequence[int] | range = scan
-            outcome = screen_plane(
-                plane.core, self.config, self.policy, centered, norm
-            )
-            if outcome is not None:
-                walk_ids, n_pruned, synthetic = outcome.apply(scan)
-                result.slices_pruned += n_pruned
-                result.correlations_evaluated += synthetic
-                result.coarse_elapsed_s += outcome.elapsed_s
-                self._publish_screen(outcome, len(scan), n_pruned)
-            walker = PlaneWalker(
-                plane.core,
-                centered,
-                norm,
-                cache,
-                self.policy,
-                self.config.delta,
-                self.config.dedupe_per_slice,
-                indices=walk_ids,
-            )
-            hits, evaluated, above = walker.walk_all()
-            result.slices_searched += len(scan)
-            result.correlations_evaluated += evaluated
-            result.candidates_above_threshold += above
-            slices = plane.slices
-            for index, omega, offset in hits:
-                top.offer(
-                    omega,
-                    SearchMatch(
-                        sig_slice=slices[index],
-                        omega=omega,
-                        offset=offset,
-                    ),
-                )
-        self._finish(result, top, span)
-        return result
-
     def search_shards(
         self,
         frame: np.ndarray,
         source: ShardedSearchPlane | ShardEpoch,
         shard_ids: Sequence[int] | None = None,
     ) -> SearchResult:
-        """Top-K search over (a subset of the shards of) a sharded plane.
+        """Top-K search over (a subset of the shards of) a compiled plane.
 
-        Pins one epoch up front (a concurrent ``refresh`` cannot mix
-        generations mid-search), screens once *globally* across all
-        shard cores, then scatters the exact walk across the shards in
-        ascending order and merges their hits into one heap.  Ascending
-        shard order concatenated with each walker's scan-order hits *is*
-        the monolithic admission order, so heap tie-breaks — and with
-        them matches, ω values, offsets and statistics — are
-        bit-identical to :meth:`search_plane` over the equivalent
-        monolithic plane.
+        Pins one epoch up front, so a concurrent ``refresh`` cannot mix
+        generations mid-search, then runs :func:`walk_cores`.  Matches
+        and statistics are bit-identical to :meth:`search` over the
+        same signal-sets, for any shard width.
 
         ``shard_ids`` restricts the walk to those shards — the
-        shard-partitioned execution path ships only shard ids to
-        workers (screening verdicts are global either way).
+        partitioned execution path walks one chunk of shards per call
+        (screening verdicts are global either way).
         """
         epoch = source.pin() if isinstance(source, ShardedSearchPlane) else source
-        centered, norm = self.prepare_query(frame)
-        result = SearchResult()
-        top: TopK[SearchMatch] = TopK(self.config.top_k)
-        merge_s = 0.0
+        prepared = [self.prepare_query(frame)]
         with obs.trace.span("cloud.search") as span:
-            cores = [shard.core for shard in epoch.shards]
-            scan_shards: Sequence[int] | range = (
-                shard_ids if shard_ids is not None else range(len(cores))
-            )
-            outcome = screen_shard_cores(
-                cores, self.config, self.policy, centered, norm
-            )
-            scanned = 0
-            hits_global: list[tuple[int, float, int]] = []
-            for k in scan_shards:
-                core = cores[k]
-                base = epoch.bases[k]
-                scan = range(base, base + core.n_slices)
-                walk_ids: Sequence[int] | None = None
-                if outcome is not None:
-                    kept, n_pruned, synthetic = outcome.apply(scan)
-                    result.slices_pruned += n_pruned
-                    result.correlations_evaluated += synthetic
-                    walk_ids = kept - base
-                walker = PlaneWalker(
-                    core,
-                    centered,
-                    norm,
-                    core.ensure_norms(self.config.frame_samples),
-                    self.policy,
-                    self.config.delta,
-                    self.config.dedupe_per_slice,
-                    indices=walk_ids,
-                )
-                hits, evaluated, above = walker.walk_all()
-                result.correlations_evaluated += evaluated
-                result.candidates_above_threshold += above
-                scanned += len(scan)
-                hits_global.extend(
-                    (base + index, omega, offset)
-                    for index, omega, offset in hits
-                )
-            result.slices_searched += scanned
-            if outcome is not None:
-                result.coarse_elapsed_s += outcome.elapsed_s
-                self._publish_screen(outcome, scanned, result.slices_pruned)
-            merge_started = time.perf_counter()
-            slices = epoch.slices
-            for index, omega, offset in hits_global:
-                top.offer(
-                    omega,
-                    SearchMatch(
-                        sig_slice=slices[index],
-                        omega=omega,
-                        offset=offset,
-                    ),
-                )
-            merge_s = time.perf_counter() - merge_started
+            ((result, top),) = self._walk(epoch, prepared, shard_ids, joint=False)
         self._finish(result, top, span)
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.observe("cloud.plane.shard.merge_s", merge_s)
         return result
 
     def search_batch(
         self,
         frames: Sequence[np.ndarray],
-        plane: SearchPlane | ShardedSearchPlane | ShardEpoch,
+        plane: ShardedSearchPlane | ShardEpoch,
     ) -> list[SearchResult]:
         """Serve many queries over one compiled plane in a single walk.
 
-        The per-query vectorised preparation (dots, normalisation,
-        successor tables) still runs once per frame — it depends on the
-        query — but the skip walks of *all* queries advance together in
-        one level-synchronous loop (:func:`_joint_visit`), so the
-        per-round vector-op overhead is paid once per batch instead of
-        once per request.  Each returned :class:`SearchResult` is
-        bit-identical to :meth:`search_plane` over the same frame:
-        identical matches, offsets, ω values and statistics.
+        Pins one epoch for the *whole* batch — the per-batch
+        generation-pinning contract the gateway relies on: a refresh
+        landing mid-batch cannot swap cores under queries already
+        prepared against the pinned epoch.  The per-query vectorised
+        preparation (dots, normalisation) still runs once per frame,
+        but the skip walks of *all* queries over all shards advance
+        together in one level-synchronous loop (:func:`_joint_visit`),
+        so the per-round vector-op overhead is paid once per batch
+        instead of once per request.  Each returned
+        :class:`SearchResult` is bit-identical to :meth:`search` over
+        the same frame: identical matches, offsets, ω values and
+        statistics.
 
         Policies without a successor table (no ``step``/``skip_table``)
         fall back to independent per-query walks.
         """
         if not frames:
             return []
-        if isinstance(plane, (ShardedSearchPlane, ShardEpoch)):
-            return self._search_batch_shards(frames, plane)
+        epoch = plane.pin() if isinstance(plane, ShardedSearchPlane) else plane
         prepared = [self.prepare_query(frame) for frame in frames]
-        cache = plane.ensure_norms(self.config.frame_samples)
-        results: list[SearchResult] = []
-        tops: list[TopK[SearchMatch]] = []
         with obs.trace.span("cloud.search_batch", queries=len(frames)) as span:
-            walkers: list[PlaneWalker] = []
-            # Per-query (pruned, synthetic evaluations, stage-1 time):
-            # each query is screened before its layout is built, so the
-            # joint walk stacks only surviving slices.
-            screened: list[tuple[int, int, float]] = []
-            for centered, norm in prepared:
-                outcome = screen_plane(
-                    plane.core, self.config, self.policy, centered, norm
-                )
-                walk_ids: Sequence[int] | None = None
-                if outcome is None:
-                    screened.append((0, 0, 0.0))
-                else:
-                    kept, n_pruned, synthetic = outcome.apply(
-                        range(plane.n_slices)
-                    )
-                    walk_ids = kept
-                    screened.append(
-                        (n_pruned, synthetic, outcome.elapsed_s)
-                    )
-                    self._publish_screen(outcome, plane.n_slices, n_pruned)
-                walkers.append(
-                    PlaneWalker(
-                        plane.core,
-                        centered,
-                        norm,
-                        cache,
-                        self.policy,
-                        self.config.delta,
-                        self.config.dedupe_per_slice,
-                        indices=walk_ids,
-                    )
-                )
-            stacked = sum(walker.total_positions for walker in walkers)
-            if (
-                len(walkers) > 1
-                and stacked <= _JOINT_POSITION_BUDGET
-                and getattr(self.policy, "step", None) is None
-                and getattr(self.policy, "skip_table", None) is not None
-            ):
-                visited = _joint_visit(walkers)
-                walked = [
-                    walker.classify_visited(positions)
-                    for walker, positions in zip(walkers, visited)
-                ]
-            else:
-                walked = [walker.walk_all() for walker in walkers]
-            slices = plane.slices
-            for (hits, evaluated, above), (n_pruned, synthetic, coarse_s) in zip(
-                walked, screened
-            ):
-                result = SearchResult()
-                result.slices_searched = plane.n_slices
-                result.correlations_evaluated = evaluated + synthetic
-                result.candidates_above_threshold = above
-                result.slices_pruned = n_pruned
-                result.coarse_elapsed_s = coarse_s
-                top: TopK[SearchMatch] = TopK(self.config.top_k)
-                for index, omega, offset in hits:
-                    top.offer(
-                        omega,
-                        SearchMatch(
-                            sig_slice=slices[index],
-                            omega=omega,
-                            offset=offset,
-                        ),
-                    )
-                results.append(result)
-                tops.append(top)
-        for result, top in zip(results, tops):
+            walked = self._walk(epoch, prepared, None, joint=True)
+        for result, top in walked:
             self._finish(result, top, span)
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("cloud.search.batches")
             registry.observe("cloud.search.batch_size", float(len(frames)))
-        return results
+        return [result for result, _ in walked]
 
-    def _search_batch_shards(
+    def _walk(
         self,
-        frames: Sequence[np.ndarray],
-        source: ShardedSearchPlane | ShardEpoch,
-    ) -> list[SearchResult]:
-        """The sharded twin of :meth:`search_batch`.
-
-        Pins one epoch for the *whole* batch — the per-batch
-        generation-pinning contract the gateway relies on: a refresh
-        landing mid-batch cannot swap cores under queries already
-        prepared against the pinned epoch.  Every query's ``(query,
-        shard)`` walkers are stacked into the same joint
-        level-synchronous walk the monolithic batch path uses (a
-        walker's layout interval is disjoint regardless of which query
-        or shard it serves), then each query's per-shard hits are
-        merged in ascending shard order — the monolithic admission
-        order — so batched sharded results stay bit-identical to
-        :meth:`search_plane` per frame.
-        """
-        epoch = source.pin() if isinstance(source, ShardedSearchPlane) else source
-        prepared = [self.prepare_query(frame) for frame in frames]
-        cores = [shard.core for shard in epoch.shards]
-        caches = [
-            core.ensure_norms(self.config.frame_samples) for core in cores
-        ]
-        n_shards = len(cores)
-        results: list[SearchResult] = []
-        tops: list[TopK[SearchMatch]] = []
-        merge_s = 0.0
-        with obs.trace.span("cloud.search_batch", queries=len(frames)) as span:
-            walkers: list[PlaneWalker] = []  # query-major, shard-minor
-            screened: list[tuple[int, int, float]] = []
-            for centered, norm in prepared:
-                outcome = screen_shard_cores(
-                    cores, self.config, self.policy, centered, norm
+        epoch: ShardEpoch,
+        prepared: Sequence[tuple[np.ndarray, float]],
+        shard_ids: Sequence[int] | None,
+        joint: bool,
+    ) -> list[tuple[SearchResult, TopK[SearchMatch]]]:
+        """:func:`walk_cores` over ``epoch``, hits merged into top-K heaps."""
+        walked = walk_cores(
+            [shard.core for shard in epoch.shards],
+            epoch.bases,
+            prepared,
+            self.config,
+            self.policy,
+            shard_ids,
+            joint,
+        )
+        merge_started = time.perf_counter()
+        slices = epoch.slices
+        out: list[tuple[SearchResult, TopK[SearchMatch]]] = []
+        for result, hits in walked:
+            top: TopK[SearchMatch] = TopK(self.config.top_k)
+            for index, omega, offset in hits:
+                top.offer(
+                    omega,
+                    SearchMatch(
+                        sig_slice=slices[index], omega=omega, offset=offset
+                    ),
                 )
-                per_shard_ids: list[np.ndarray | None]
-                if outcome is None:
-                    screened.append((0, 0, 0.0))
-                    per_shard_ids = [None] * n_shards
-                else:
-                    per_shard_ids = []
-                    pruned_total = 0
-                    synthetic_total = 0
-                    for k, core in enumerate(cores):
-                        base = epoch.bases[k]
-                        kept, n_pruned, synthetic = outcome.apply(
-                            range(base, base + core.n_slices)
-                        )
-                        per_shard_ids.append(kept - base)
-                        pruned_total += n_pruned
-                        synthetic_total += synthetic
-                    screened.append(
-                        (pruned_total, synthetic_total, outcome.elapsed_s)
-                    )
-                    self._publish_screen(
-                        outcome, epoch.n_slices, pruned_total
-                    )
-                walkers.extend(
-                    PlaneWalker(
-                        core,
-                        centered,
-                        norm,
-                        caches[k],
-                        self.policy,
-                        self.config.delta,
-                        self.config.dedupe_per_slice,
-                        indices=per_shard_ids[k],
-                    )
-                    for k, core in enumerate(cores)
-                )
-            stacked = sum(walker.total_positions for walker in walkers)
-            if (
-                len(walkers) > 1
-                and stacked <= _JOINT_POSITION_BUDGET
-                and getattr(self.policy, "step", None) is None
-                and getattr(self.policy, "skip_table", None) is not None
-            ):
-                visited = _joint_visit(walkers)
-                walked = [
-                    walker.classify_visited(positions)
-                    for walker, positions in zip(walkers, visited)
-                ]
-            else:
-                walked = [walker.walk_all() for walker in walkers]
-            merge_started = time.perf_counter()
-            slices = epoch.slices
-            for q in range(len(frames)):
-                n_pruned, synthetic, coarse_s = screened[q]
-                result = SearchResult()
-                result.slices_searched = epoch.n_slices
-                result.slices_pruned = n_pruned
-                result.coarse_elapsed_s = coarse_s
-                evaluated_total = 0
-                above_total = 0
-                top: TopK[SearchMatch] = TopK(self.config.top_k)
-                for k in range(n_shards):
-                    hits, evaluated, above = walked[q * n_shards + k]
-                    evaluated_total += evaluated
-                    above_total += above
-                    base = epoch.bases[k]
-                    for index, omega, offset in hits:
-                        top.offer(
-                            omega,
-                            SearchMatch(
-                                sig_slice=slices[base + index],
-                                omega=omega,
-                                offset=offset,
-                            ),
-                        )
-                result.correlations_evaluated = evaluated_total + synthetic
-                result.candidates_above_threshold = above_total
-                results.append(result)
-                tops.append(top)
-            merge_s = time.perf_counter() - merge_started
-        for result, top in zip(results, tops):
-            self._finish(result, top, span)
+            out.append((result, top))
         registry = obs.metrics()
         if registry.enabled:
-            registry.inc("cloud.search.batches")
-            registry.observe("cloud.search.batch_size", float(len(frames)))
-            registry.observe("cloud.plane.shard.merge_s", merge_s)
-        return results
+            registry.observe(
+                "cloud.plane.shard.merge_s", time.perf_counter() - merge_started
+            )
+        return out
 
     def _finish(
         self, result: SearchResult, top: TopK[SearchMatch], span: Span
@@ -1285,29 +1039,6 @@ class CorrelationSearch:
                 "cloud.search.stage2_s",
                 max(result.elapsed_s - result.coarse_elapsed_s, 0.0),
             )
-
-    def _publish_screen(
-        self, outcome: ScreenOutcome, scanned: int, pruned: int
-    ) -> None:
-        """Record one coarse screen's prune rate and tightness."""
-        registry = obs.metrics()
-        if not registry.enabled:
-            return
-        registry.inc("cloud.plane.coarse.screens")
-        registry.inc("cloud.plane.coarse.slices_pruned", pruned)
-        if scanned:
-            registry.observe(
-                "cloud.plane.coarse.prune_rate", pruned / scanned
-            )
-        if outcome.mode == "lossless":
-            registry.observe(
-                "cloud.plane.coarse.bound_margin", outcome.margin
-            )
-        else:
-            registry.observe(
-                "cloud.plane.coarse.keep_floor", outcome.margin
-            )
-        registry.observe("cloud.search.stage1_s", outcome.elapsed_s)
 
     def _scan_slice(
         self,

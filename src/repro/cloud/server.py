@@ -9,8 +9,8 @@ Unlike the old materialise-at-construction snapshot, the server is
 never stale: every :meth:`handle_frame` (and an explicit
 :meth:`refresh`) compares the MDB's generation counter against the
 plane's and recompiles when signal-sets were inserted or removed —
-a cheap integer comparison on the no-change path.  With the default
-:class:`~repro.cloud.shards.ShardedSearchPlane` a refresh recompiles
+a cheap integer comparison on the no-change path.  The
+:class:`~repro.cloud.shards.ShardedSearchPlane` refresh recompiles
 **only the delta shards** (content-addressed reuse), so an
 online-growing MDB adopts new slices without a serving pause, and the
 plane reference is pinned once per request/batch so a refresh racing an
@@ -24,7 +24,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cloud.plane import SearchPlane
 from repro.cloud.results import SearchResult
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
 from repro.cloud.shards import DEFAULT_SHARD_SLICES, ShardedSearchPlane
@@ -45,7 +44,7 @@ class SearchEngine(Protocol):
     def search(
         self,
         frame: np.ndarray,
-        slices: SearchPlane | ShardedSearchPlane | Sequence[SignalSlice],
+        slices: ShardedSearchPlane | Sequence[SignalSlice],
     ) -> SearchResult:
         ...
 
@@ -55,24 +54,19 @@ class CloudServer:
 
     An MDB or slice list is compiled into a
     :class:`~repro.cloud.shards.ShardedSearchPlane` (``shard_slices``
-    slices per content-addressed shard); a pre-built plane — sharded or
-    monolithic — is served as-is.
+    slices per content-addressed shard); a pre-built plane is served
+    as-is.
     """
 
     def __init__(
         self,
-        mdb: (
-            MegaDatabase
-            | list[SignalSlice]
-            | SearchPlane
-            | ShardedSearchPlane
-        ),
+        mdb: MegaDatabase | list[SignalSlice] | ShardedSearchPlane,
         search: SearchEngine | None = None,
         timing: TimingModel | None = None,
         shard_slices: int = DEFAULT_SHARD_SLICES,
     ) -> None:
-        self.plane: SearchPlane | ShardedSearchPlane
-        if isinstance(mdb, (SearchPlane, ShardedSearchPlane)):
+        self.plane: ShardedSearchPlane
+        if isinstance(mdb, ShardedSearchPlane):
             self.plane = mdb
         else:
             if not len(mdb):
@@ -95,8 +89,8 @@ class CloudServer:
 
         Called automatically by :meth:`handle_frame`, so frames
         arriving after an MDB insert always search the new signal-sets.
-        On the sharded plane only the delta shards recompile, and the
-        new epoch is installed atomically — requests already walking
+        Only the delta shards recompile, and the new epoch is installed
+        atomically — requests already walking
         the previous epoch are undisturbed.
         """
         refreshed = self.plane.refresh()
@@ -145,9 +139,9 @@ class CloudServer:
         The plane reference is pinned once for the whole batch — a
         ``refresh()`` racing an in-flight batch (an MDB insert landing
         mid-soak) cannot swap the plane between the coalescer snapshot
-        and the batch walk, so one batch never mixes generations; the
-        sharded plane additionally pins one immutable epoch inside
-        ``search_batch`` for the same guarantee at the core level.
+        and the batch walk, so one batch never mixes generations;
+        ``search_batch`` additionally pins one immutable epoch for the
+        same guarantee at the core level.
         """
         datas = [
             frame.data

@@ -1,11 +1,11 @@
-"""The sharded MDB search plane with incremental compilation.
+"""The compiled MDB search plane, sharded with incremental compilation.
 
-:class:`~repro.cloud.plane.SearchPlane` recompiles the **whole** MDB on
-every generation bump: one monolithic :class:`PlaneCore` whose norm and
-coarse caches are dropped wholesale, so an online-growing MDB (the
-paper's implied clinical workflow — new labelled slices adopted at
-runtime) pays a serving pause proportional to the *entire* store on
-every insert.  This module shards the compiled plane instead:
+A plane compiled as one block would recompile the **whole** MDB on
+every generation bump, dropping every norm and coarse cache, so an
+online-growing MDB (the paper's implied clinical workflow — new
+labelled slices adopted at runtime) would pay a serving pause
+proportional to the *entire* store on every insert.  This module is
+the repository's one compiled plane, and it shards instead:
 
 * slices are grouped into fixed-size runs (``shard_slices`` per shard)
   and each run is compiled into its own independent
@@ -23,14 +23,17 @@ every insert.  This module shards the compiled plane instead:
   can never mix generations inside one batch — the in-flight batch
   keeps walking the epoch it pinned while new requests see the new one.
 
-Search engines scatter queries across the shard cores and merge the
-per-shard top-K with deterministic lower-slice-id tie-breaks (shards
-are walked in ascending order, so the global admission sequence is
-exactly the monolithic scan order).  Results are **bit-identical** to
-the monolithic plane: every per-slice quantity (dots, norms, walks) is
-a pure function of that slice's samples, and the screening/merge
-passes apply the same global selections over concatenated per-shard
-arrays (``tests/test_cloud_shards.py`` asserts it under hypothesis).
+A plane over the whole store at once is simply the one-shard case,
+``ShardedSearchPlane(source, shard_slices=len(source))``.  Search
+engines scatter queries across the shard cores and merge the per-shard
+hits in ascending shard order, so the global admission sequence is
+exactly the one-shard scan order.  Results are therefore
+**bit-identical** for every shard width: every per-slice quantity
+(dots, norms, walks, coarse scores) is a pure function of that slice's
+samples, and the screening/merge passes apply the same global
+selections over concatenated per-shard arrays.
+``tests/test_cloud_shards.py`` asserts it under hypothesis, against a
+one-shard compile and the scalar oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import hashlib
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from types import TracebackType
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +54,9 @@ from repro.cloud.plane import (
 )
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
+from repro.mdb.schema import slice_from_document
 from repro.signals.types import SignalSlice
+from repro.storage.documents import ID_FIELD
 
 #: Slices per shard.  Small enough that a single-document insert
 #: recompiles a sliver of the store, large enough that the per-shard
@@ -89,20 +94,39 @@ def _slice_key(sig_slice: SignalSlice) -> bytes | None:
     return digest.digest()
 
 
-def shard_id_for(slices: Sequence[SignalSlice]) -> str | None:
-    """Content address of one shard's member slices, or ``None``.
+def _shard_id(keys: Sequence[bytes | None]) -> str | None:
+    """Content address of one shard from its members' slice keys.
 
     ``None`` when any member cannot be addressed (empty ``slice_id``);
     such shards never enter the registry and are recompiled on every
     refresh.
     """
-    digest = hashlib.blake2b(digest_size=16)
-    for sig_slice in slices:
-        key = _slice_key(sig_slice)
-        if key is None:
-            return None
-        digest.update(key)
-    return digest.hexdigest()
+    present = [key for key in keys if key is not None]
+    if len(present) < len(keys):
+        return None
+    return hashlib.blake2b(b"".join(present), digest_size=16).hexdigest()
+
+
+#: A document's fields :func:`~repro.mdb.schema.slice_from_document`
+#: reads: samples (compared by identity), label, source, start, id.
+_DocumentFields = tuple[Any, Any, Any, Any, Any]
+
+#: One document's last read: its fields, its slice and content key.
+_DocumentEntry = tuple[_DocumentFields, SignalSlice, bytes | None]
+
+
+def _document_fields(document: Mapping[str, Any]) -> _DocumentFields:
+    return (
+        document.get("samples"),
+        document.get("label"),
+        document.get("source"),
+        document.get("start_sample"),
+        document.get("slice_id"),
+    )
+
+
+def _same_fields(a: _DocumentFields, b: _DocumentFields) -> bool:
+    return a[0] is b[0] and a[1:] == b[1:]
 
 
 class PlaneShard:
@@ -160,7 +184,6 @@ class PlaneShard:
             n_samples=samples.size,
             offsets=tuple(int(v) for v in self.core.offsets),
             fft_min_samples=self.core.fft_min_samples,
-            generation=0,
         )
         return self._spec
 
@@ -236,11 +259,13 @@ class ShardEpoch:
 class ShardedSearchPlane:
     """The sharded, incrementally compiled MDB plane.
 
-    Drop-in for :class:`~repro.cloud.plane.SearchPlane` wherever the
-    consumer goes through a search engine (``CorrelationSearch``,
-    ``ParallelSearch``, ``CloudServer``): same ``refresh``/``close``/
-    context-manager lifecycle, same delegation surface.  Differs in
-    the two properties that matter at fleet scale:
+    Built from a :class:`~repro.mdb.mdb.MegaDatabase` (tracking its
+    generation counter, so :meth:`refresh` picks up later inserts) or
+    from a plain slice list (static), and served through a search
+    engine (``CorrelationSearch``, ``ParallelSearch``,
+    ``CloudServer``).  Supports the context-manager protocol;
+    :meth:`close` releases the shards' shared-memory segments.  Two
+    properties matter at fleet scale:
 
     * :meth:`refresh` compiles **only the delta shards** — content
       hashes decide reuse, so an append-only insert recompiles one
@@ -268,21 +293,49 @@ class ShardedSearchPlane:
         self.shard_slices = shard_slices
         self.fft_min_samples = fft_min_samples
         self._registry: dict[str, PlaneShard] = {}
+        #: The last MDB read, keyed by document id.
+        self._documents: dict[Any, _DocumentEntry] = {}
         self.last_refresh_compiled = 0
         self.last_refresh_reused = 0
         self._epoch = self._build_epoch(previous=None)
 
     # -- building ----------------------------------------------------
 
-    def _source_state(self) -> tuple[int, tuple[SignalSlice, ...]]:
-        if self._mdb is not None:
-            return self._mdb.generation, tuple(self._mdb.slices())
-        assert self._static_slices is not None
-        return 0, self._static_slices
+    def _source_state(
+        self,
+    ) -> tuple[int, tuple[SignalSlice, ...], list[bytes | None]]:
+        """The source's generation, slices and per-slice content keys.
+
+        MDB documents whose fields are unchanged since the last read
+        (the same ``samples`` array object, the same metadata) reuse
+        their materialised slice and key, so an append-only insert
+        materialises and hashes only the new documents — a refresh's
+        fixed cost stays small next to the delta compile.
+        """
+        if self._mdb is None:
+            assert self._static_slices is not None
+            slices = self._static_slices
+            return 0, slices, [_slice_key(sig_slice) for sig_slice in slices]
+        generation = self._mdb.generation
+        read: dict[Any, _DocumentEntry] = {}
+        for document in self._mdb.documents():
+            fields = _document_fields(document)
+            entry = self._documents.get(document[ID_FIELD])
+            if entry is None or not _same_fields(entry[0], fields):
+                sig_slice = slice_from_document(document)
+                entry = (fields, sig_slice, _slice_key(sig_slice))
+            read[document[ID_FIELD]] = entry
+        self._documents = read
+        entries = list(read.values())
+        return (
+            generation,
+            tuple(entry[1] for entry in entries),
+            [entry[2] for entry in entries],
+        )
 
     def _build_epoch(self, previous: ShardEpoch | None) -> ShardEpoch:
         with obs.trace.span("cloud.plane.build") as span:
-            source_generation, slices = self._source_state()
+            source_generation, slices, keys = self._source_state()
             if not slices:
                 raise SearchError(
                     "cannot compile a search plane over an empty "
@@ -294,7 +347,7 @@ class ShardedSearchPlane:
             reused = 0
             for begin in range(0, len(slices), self.shard_slices):
                 group = slices[begin : begin + self.shard_slices]
-                shard_id = shard_id_for(group)
+                shard_id = _shard_id(keys[begin : begin + self.shard_slices])
                 if shard_id is not None and shard_id in registry:
                     # Identical content appearing twice in one epoch:
                     # compile the duplicate privately so each shard

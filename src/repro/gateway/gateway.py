@@ -24,7 +24,10 @@ rejected immediately (``failure="rejected"``, no attempt, breaker
 untouched) — backpressure the caller can see, instead of an unbounded
 queue.  Tenant fairness is a round-robin drain: each batch takes one
 request per tenant in rotation until the batch is full, so a flooding
-tenant cannot starve the others.
+tenant cannot starve the others.  A frame the walk rejects (NaN/inf
+samples, wrong length) fails only its own request: the batch is then
+re-walked one request at a time, so co-batched tenants still get
+exactly what ``handle_frame`` returns for them.
 
 Everything observable goes through :mod:`repro.obs` as ``gateway.*``
 metrics (requests, rejections, batches, batch size, queue depth,
@@ -440,23 +443,8 @@ class ServingGateway:
     ) -> None:
         if not batch:
             return
-        frames = [attempt.frame for _, attempt in batch]
         try:
-            if self.config.offload_batches:
-                served = await asyncio.get_running_loop().run_in_executor(
-                    None, self.server.handle_batch, frames
-                )
-            else:
-                # Inline is a deliberate trade: the simulation-speed
-                # path accepts stalling the loop for one plane walk.
-                served = self.server.handle_batch(frames)  # emaplint: disable=EM007
-        except EMAPError as error:
-            # The whole batch failed before any per-tenant stage: every
-            # rider sees the same endpoint error through its driver.
-            for _, attempt in batch:
-                if not attempt.future.done():
-                    attempt.future.set_exception(error)
-            return
+            served = await self._walk([attempt.frame for _, attempt in batch])
         finally:
             self.batches_served += 1
             self.attempts_served += len(batch)
@@ -467,8 +455,14 @@ class ServingGateway:
                 registry.set_gauge(
                     "gateway.queue_depth", float(self._pending_total)
                 )
-        for (state, attempt), (result, breakdown) in zip(batch, served):
-            state.stage.stage(result, breakdown)
+        for (state, attempt), response in zip(batch, served):
+            if isinstance(response, EMAPError):
+                # The rider's own frame failed the walk: it sees that
+                # endpoint error through its driver.
+                if not attempt.future.done():
+                    attempt.future.set_exception(response)
+                continue
+            state.stage.stage(*response)
             try:
                 value = state.chain.handle_frame(attempt.frame)
             except EMAPError as error:
@@ -477,3 +471,38 @@ class ServingGateway:
             else:
                 if not attempt.future.done():
                     attempt.future.set_result(value)
+
+    async def _walk(
+        self, frames: list[Frame | np.ndarray]
+    ) -> list[tuple[SearchResult, TimingBreakdown] | EMAPError]:
+        """One coalesced plane walk; per-request responses or errors.
+
+        A batched walk fails as a whole when any one frame is invalid
+        (NaN/inf samples, wrong length).  On such an error every frame
+        is walked alone, so the error reaches only the requests that
+        cause it and every other rider gets exactly what
+        ``handle_frame`` returns for it.
+        """
+        try:
+            return list(await self._handle_batch(frames))
+        except EMAPError as error:
+            if len(frames) == 1:
+                return [error]
+        responses: list[tuple[SearchResult, TimingBreakdown] | EMAPError] = []
+        for frame in frames:
+            try:
+                responses.extend(await self._handle_batch([frame]))
+            except EMAPError as error:
+                responses.append(error)
+        return responses
+
+    async def _handle_batch(
+        self, frames: list[Frame | np.ndarray]
+    ) -> list[tuple[SearchResult, TimingBreakdown]]:
+        if self.config.offload_batches:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, self.server.handle_batch, frames
+            )
+        # Inline is a deliberate trade: the simulation-speed path
+        # accepts stalling the loop for one plane walk.
+        return self.server.handle_batch(frames)  # emaplint: disable=EM007

@@ -76,6 +76,14 @@ class MegaDatabase:
         for document in self._slices.find(query, limit=limit):
             yield slice_from_document(document)
 
+    def documents(self) -> list[dict[str, Any]]:
+        """Every signal-set document, in insertion order.
+
+        The stored documents themselves, not copies: callers must treat
+        them as read-only.
+        """
+        return self._slices.find()
+
     def subset(self, n_slices: int, seed: int = 0) -> list[SignalSlice]:
         """A deterministic random subset of ``n_slices`` signal-sets.
 

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.cloud.parallel import (
-    ParallelSearch,
-    merge_results,
-    partition_indices,
-    partition_slices,
-)
-from repro.cloud.plane import SearchPlane
+from repro.cloud.parallel import ParallelSearch, merge_results, partition_indices
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.search import SearchConfig, SlidingWindowSearch
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
 from repro.eval.experiments.common import filtered_frame
 from repro.signals.types import AnomalyType, SignalSlice
@@ -27,16 +22,25 @@ def _match(omega, slice_id="s"):
     )
 
 
+def _lengths(slices):
+    return [len(s) for s in slices]
+
+
+def _shared(plane):
+    """Whether every shard of the plane holds a shared-memory export."""
+    return all(shard._shm is not None for shard in plane.pin().shards)
+
+
 class TestPartition:
     def test_balanced_and_complete(self, mdb_slices):
-        chunks = partition_slices(mdb_slices, 4)
+        chunks = partition_indices(_lengths(mdb_slices), 4)
         assert len(chunks) == 4
         sizes = [len(chunk) for chunk in chunks]
         assert max(sizes) - min(sizes) <= 1
         assert sum(sizes) == len(mdb_slices)
 
     def test_more_chunks_than_slices(self, mdb_slices):
-        chunks = partition_slices(mdb_slices[:3], 10)
+        chunks = partition_indices(_lengths(mdb_slices[:3]), 10)
         assert len(chunks) == 3
 
     def test_balances_sample_counts_not_slice_counts(self):
@@ -60,11 +64,11 @@ class TestPartition:
 
     def test_rejects_empty(self):
         with pytest.raises(SearchError, match="empty"):
-            partition_slices([], 2)
+            partition_indices([], 2)
 
     def test_rejects_bad_count(self, mdb_slices):
         with pytest.raises(SearchError, match="chunk count"):
-            partition_slices(mdb_slices, 0)
+            partition_indices(_lengths(mdb_slices), 0)
 
 
 class TestMerge:
@@ -136,30 +140,36 @@ class TestBindLifecycle:
         engine = ParallelSearch(SearchConfig(), n_chunks=2)
         first = engine.bind(mdb_slices[:8])
         first.share()
-        assert first._shm is not None
+        assert _shared(first)
         second = engine.bind(mdb_slices[8:16])
-        assert first._shm is None
+        assert not any(shard._shm for shard in first.pin().shards)
         assert engine.plane is second
         engine.close()
 
+    def test_owned_plane_compiles_one_shard_per_chunk(self, mdb_slices):
+        engine = ParallelSearch(SearchConfig(), n_chunks=3)
+        plane = engine.bind(mdb_slices[:10])
+        assert [shard.n_slices for shard in plane.pin().shards] == [4, 4, 2]
+        engine.close()
+
     def test_rebind_keeps_borrowed_plane_alive(self, mdb_slices):
-        plane = SearchPlane(mdb_slices[:8])
+        plane = ShardedSearchPlane(mdb_slices[:8], shard_slices=8)
         plane.share()
         engine = ParallelSearch(SearchConfig(), n_chunks=2)
         engine.bind(plane)
         engine.bind(mdb_slices[8:16])
         # The caller owns `plane`; rebinding must not close it.
-        assert plane._shm is not None
+        assert _shared(plane)
         plane.close()
         engine.close()
 
     def test_rebind_same_plane_is_noop(self, mdb_slices):
-        plane = SearchPlane(mdb_slices[:8])
+        plane = ShardedSearchPlane(mdb_slices[:8], shard_slices=8)
         plane.share()
         engine = ParallelSearch(SearchConfig(), n_chunks=2)
         engine.bind(plane)
         engine.bind(plane)
-        assert plane._shm is not None
+        assert _shared(plane)
         plane.close()
         engine.close()
 

@@ -13,6 +13,7 @@ from repro.cloud.search import (
     SearchConfig,
     SlidingWindowSearch,
 )
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
 from repro.eval.experiments.common import filtered_frame
 from repro.signals.types import AnomalyType, SignalSlice
@@ -170,6 +171,43 @@ class TestSearchEngines:
     def test_rejects_bad_frame(self, mdb_slices):
         with pytest.raises(SearchError, match="must have 256"):
             ExhaustiveSearch(SearchConfig()).search(np.ones(100), mdb_slices)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_frame_on_every_path(
+        self, mdb_slices, query_frame, bad
+    ):
+        """Regression: one NaN/inf sample used to crash the plane walk
+        with a raw ``IndexError`` (the skip table cast NaN to int64)
+        while the scalar oracle silently returned no matches."""
+        frame = query_frame.copy()
+        frame[17] = bad
+        plane = ShardedSearchPlane(mdb_slices[:20], shard_slices=8)
+        for precompute in (False, True):
+            with pytest.raises(SearchError, match="NaN or infinite"):
+                SlidingWindowSearch(
+                    SearchConfig(), precompute=precompute
+                ).search(frame, mdb_slices[:5])
+        for two_stage in ("off", "fast"):
+            engine = SlidingWindowSearch(
+                SearchConfig(two_stage=two_stage), precompute=True
+            )
+            with pytest.raises(SearchError, match="NaN or infinite"):
+                engine.search(frame, plane)
+            with pytest.raises(SearchError, match="NaN or infinite"):
+                engine.search_batch([query_frame, frame], plane)
+        plane.close()
+
+    def test_flat_frame_is_valid_and_matches_nothing(self, mdb_slices):
+        frame = np.full(256, 3.0)
+        scalar = SlidingWindowSearch(SearchConfig()).search(frame, mdb_slices[:5])
+        plane = ShardedSearchPlane(mdb_slices[:5])
+        planed = SlidingWindowSearch(SearchConfig(), precompute=True).search(
+            frame, plane
+        )
+        for result in (scalar, planed):
+            assert result.matches == []
+        assert planed.correlations_evaluated == scalar.correlations_evaluated
+        plane.close()
 
     def test_omega_clamped_non_negative(self, mdb_slices, query_frame):
         result = ExhaustiveSearch(

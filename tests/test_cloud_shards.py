@@ -2,17 +2,14 @@
 
 The sharded plane's contract is absolute: scattering a query across
 independently compiled shards and merging the per-shard top-K must be
-**bit-identical** to searching one monolithic
-:class:`~repro.cloud.plane.SearchPlane` — same matches, same admission
-order, same statistics — across every two-stage mode and engine.  The
-hypothesis suite here is the gate: random shard widths, insert
-sequences and frame lengths all funnel through the same equality.
-
-``slices_pruned`` is deliberately *not* compared: the lossless bound's
-residual-energy term is a floating-point cumsum whose rounding depends
-on where shard boundaries fall, so the bound (and therefore which
-provably-hitless slices get skipped) may differ — the returned matches
-and evaluated-correlation counts never do.
+**bit-identical** to searching the whole store compiled as one shard
+(the "monolithic" plane, ``shard_slices=len(slices)``) — same matches,
+same admission order, same statistics, ``slices_pruned`` included —
+across every two-stage mode and engine, and bit-identical to the
+scalar oracle when two-stage search is off.  The hypothesis suites
+here are the gate: random shard widths, insert sequences and frame
+lengths all funnel through the same equality, and a stateful machine
+interleaves inserts, refreshes, pins and (batched) searches.
 """
 
 from __future__ import annotations
@@ -21,18 +18,23 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
 from repro.cloud.parallel import ParallelSearch
-from repro.cloud.plane import SearchPlane
 from repro.cloud.search import (
     ExhaustiveSearch,
     SearchConfig,
     SlidingWindowSearch,
 )
-from repro.cloud.shards import ShardedSearchPlane, shard_id_for
+from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
 from repro.mdb.mdb import MegaDatabase
-from repro.mdb.schema import slice_to_document
+from repro.mdb.schema import SLICE_COLLECTION, slice_to_document
 from repro.signals.types import AnomalyType, SignalSlice
 
 
@@ -61,11 +63,13 @@ def _mdb_from(slices):
     return mdb
 
 
+def _one_shard(slices):
+    """The whole store compiled as a single shard."""
+    return ShardedSearchPlane(slices, shard_slices=len(slices))
+
+
 def _key(result):
-    return sorted(
-        (m.sig_slice.slice_id, round(m.omega, 12), m.offset)
-        for m in result.matches
-    )
+    return [(m.sig_slice.slice_id, m.omega, m.offset) for m in result.matches]
 
 
 def _assert_identical(sharded_result, mono_result):
@@ -80,6 +84,7 @@ def _assert_identical(sharded_result, mono_result):
     )
     assert sharded_result.slices_searched == mono_result.slices_searched
     assert sharded_result.heap_admissions == mono_result.heap_admissions
+    assert sharded_result.slices_pruned == mono_result.slices_pruned
 
 
 class TestBitIdentity:
@@ -88,14 +93,14 @@ class TestBitIdentity:
         shard_slices=st.integers(1, 6),
         split=st.integers(1, 15),
         samples=st.sampled_from([128, 256, 384]),
-        two_stage=st.sampled_from(["off", "lossless", "fast"]),
+        two_stage=st.sampled_from(["off", "fast"]),
     )
     @settings(max_examples=12, deadline=None)
     def test_sharded_equals_monolithic_after_inserts(
         self, seed, shard_slices, split, samples, two_stage
     ):
         """The gate: grow an MDB after the initial compile, delta-refresh,
-        and demand bit-identity with a from-scratch monolithic plane."""
+        and demand bit-identity with a from-scratch one-shard plane."""
         slices = _random_slices(seed, n=16)
         mdb = _mdb_from(slices[:split])
         sharded = ShardedSearchPlane(mdb, shard_slices=shard_slices)
@@ -110,14 +115,14 @@ class TestBitIdentity:
             precompute=True,
         )
         frame = _query(seed, samples)
-        mono = engine.search(frame, SearchPlane(slices))
+        mono = engine.search(frame, _one_shard(slices))
         _assert_identical(engine.search(frame, sharded), mono)
         sharded.close()
 
     @given(
         seed=st.integers(0, 10_000),
         shard_slices=st.integers(1, 5),
-        two_stage=st.sampled_from(["off", "lossless", "fast"]),
+        two_stage=st.sampled_from(["off", "fast"]),
     )
     @settings(max_examples=8, deadline=None)
     def test_batch_path_equals_monolithic(self, seed, shard_slices, two_stage):
@@ -128,7 +133,7 @@ class TestBitIdentity:
         )
         frames = [_query(seed + i) for i in range(3)]
         batch = engine.search_batch(frames, sharded)
-        mono_plane = SearchPlane(slices)
+        mono_plane = _one_shard(slices)
         for frame, got in zip(frames, batch):
             _assert_identical(got, engine.search(frame, mono_plane))
         sharded.close()
@@ -140,7 +145,7 @@ class TestBitIdentity:
         frame = _query(21)
         _assert_identical(
             engine.search(frame, sharded),
-            engine.search(frame, SearchPlane(slices)),
+            engine.search(frame, _one_shard(slices)),
         )
         sharded.close()
 
@@ -175,7 +180,6 @@ class TestShardLayout:
             )
             for i in range(2)
         ]
-        assert shard_id_for(anon) is None
         plane = ShardedSearchPlane(
             _random_slices(4, n=4, max_len=300) + anon, shard_slices=4
         )
@@ -312,7 +316,7 @@ class TestParallelSharded:
         slices = _random_slices(13, n=12, min_len=200, max_len=600)
         frame = _query(13)
         mono = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            frame, SearchPlane(slices)
+            frame, _one_shard(slices)
         )
         sharded = ShardedSearchPlane(slices, shard_slices=5)
         engine = ParallelSearch(SearchConfig(), n_chunks=3)
@@ -324,9 +328,9 @@ class TestParallelSharded:
     def test_pooled_workers_match_monolithic(self):
         slices = _random_slices(14, n=12, min_len=200, max_len=600)
         frame = _query(14)
-        config = SearchConfig(two_stage="lossless")
+        config = SearchConfig(two_stage="fast")
         mono = SlidingWindowSearch(config, precompute=True).search(
-            frame, SearchPlane(slices)
+            frame, _one_shard(slices)
         )
         sharded = ShardedSearchPlane(slices, shard_slices=4)
         engine = ParallelSearch(config, n_chunks=3, n_workers=2)
@@ -334,5 +338,172 @@ class TestParallelSharded:
         pooled = engine.search(frame, None)
         assert _key(pooled) == _key(mono)
         assert pooled.correlations_evaluated == mono.correlations_evaluated
+        assert pooled.slices_pruned == mono.slices_pruned
         engine.close()
         sharded.close()
+
+
+class ShardedPlaneMachine(RuleBasedStateMachine):
+    """Inserts, refreshes, pins and (batched) searches in any order.
+
+    One MDB grows by single-document inserts (and is edited by sample
+    rewrites and deletes) under a plane of random shard width.  Every
+    refresh must reproduce the MDB's current slices, and every answer
+    over the pinned epoch must equal two references computed over that
+    epoch's slices: a fresh one-shard compile (for both engines) and
+    the scalar ``SlidingWindowSearch(SearchConfig())`` oracle (for the
+    default, two-stage-off engine).  Queries are mostly planted copies of
+    stored windows, so the default δ = 0.8 admits real hits.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.mdb = MegaDatabase()
+        self.collection = self.mdb.store.collection(SLICE_COLLECTION)
+        self.append_only = True
+        self.inserted = 0
+        # The fast engine's low δ and small top-K make the coarse screen
+        # prune and the heap evict, so shard-order merge or screening
+        # bugs change its answers.
+        self.engines = {
+            "off": SlidingWindowSearch(SearchConfig(), precompute=True),
+            "fast": SlidingWindowSearch(
+                SearchConfig(
+                    two_stage="fast",
+                    delta=0.1,
+                    top_k=2,
+                    coarse_keep_fraction=0.5,
+                ),
+                precompute=True,
+            ),
+        }
+        self.oracle = SlidingWindowSearch(SearchConfig())
+
+    def _insert(self, length: int, seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        sig_slice = SignalSlice(
+            data=rng.standard_normal(length),
+            label=AnomalyType.SEIZURE if seed % 3 == 0 else AnomalyType.NONE,
+            slice_id=f"m{self.inserted}",
+        )
+        self.inserted += 1
+        self.mdb.insert_document(
+            slice_to_document(sig_slice, dataset="test", channel="Fp1")
+        )
+
+    def _frame(self, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        long_enough = [s for s in self.pinned.slices if len(s) >= 256]
+        if not long_enough or seed % 4 == 0:
+            return rng.standard_normal(256)
+        source = long_enough[seed % len(long_enough)]
+        start = int(rng.integers(0, len(source) - 256 + 1))
+        window = source.data[start : start + 256]
+        return 2.0 * window + 0.05 * rng.standard_normal(256) + 1.0
+
+    def _check(self, frame: np.ndarray, results: dict) -> None:
+        slices = list(self.pinned.slices)
+        for mode, result in results.items():
+            reference = self.engines[mode].search(frame, _one_shard(slices))
+            _assert_identical(result, reference)
+        oracle = self.oracle.search(frame, slices)
+        _assert_identical(results["off"], oracle)
+
+    @initialize(
+        width=st.integers(1, 4),
+        lengths=st.lists(st.integers(120, 700), min_size=3, max_size=8),
+    )
+    def build(self, width: int, lengths: list[int]) -> None:
+        for length in lengths:
+            self._insert(length, seed=1000 + self.inserted)
+        self.plane = ShardedSearchPlane(self.mdb, shard_slices=width)
+        self.pinned = self.plane.pin()
+        self.pinned_count = self.pinned.n_slices
+
+    @rule(length=st.integers(120, 700), seed=st.integers(0, 10_000))
+    def insert_document(self, length: int, seed: int) -> None:
+        self._insert(length, seed)
+
+    def _pick(self, seed: int) -> str:
+        ids = [document["slice_id"] for document in self.mdb.documents()]
+        return ids[seed % len(ids)]
+
+    @rule(seed=st.integers(0, 10_000))
+    def rewrite_samples(self, seed: int) -> None:
+        slice_id = self._pick(seed)
+        length = int(np.random.default_rng(seed).integers(120, 700))
+        samples = np.random.default_rng(seed + 1).standard_normal(length)
+        self.collection.update_many(
+            {"slice_id": slice_id}, {"$set": {"samples": samples}}
+        )
+        self.append_only = False
+
+    @rule(seed=st.integers(0, 10_000))
+    def delete_document(self, seed: int) -> None:
+        if len(self.mdb) > 1:
+            self.collection.delete_many({"slice_id": self._pick(seed)})
+            self.append_only = False
+
+    @rule()
+    def refresh(self) -> None:
+        before = self.plane.pin()
+        changed = self.plane.refresh()
+        assert changed == (self.mdb.generation != before.source_generation)
+        if not changed:
+            assert self.plane.pin() is before
+            return
+        assert self.plane.pin().generation == before.generation + 1
+        if self.append_only:
+            # Every full shard of the old epoch is content-identical
+            # and must be reused, not recompiled.
+            full = before.n_slices // self.plane.shard_slices
+            assert self.plane.last_refresh_reused >= full
+        current = list(self.mdb.slices())
+        assert len(self.plane.slices) == len(current)
+        for compiled, stored in zip(self.plane.slices, current):
+            assert compiled.slice_id == stored.slice_id
+            np.testing.assert_array_equal(compiled.data, stored.data)
+        self.append_only = True
+
+    @rule()
+    def pin(self) -> None:
+        self.pinned = self.plane.pin()
+        self.pinned_count = self.pinned.n_slices
+
+    @rule(seed=st.integers(0, 10_000))
+    def search(self, seed: int) -> None:
+        frame = self._frame(seed)
+        self._check(
+            frame,
+            {
+                mode: engine.search_shards(frame, self.pinned)
+                for mode, engine in self.engines.items()
+            },
+        )
+
+    @rule(seed=st.integers(0, 10_000), n_frames=st.integers(1, 3))
+    def batch_search(self, seed: int, n_frames: int) -> None:
+        frames = [self._frame(seed + i) for i in range(n_frames)]
+        batches = {
+            mode: engine.search_batch(frames, self.pinned)
+            for mode, engine in self.engines.items()
+        }
+        for q, frame in enumerate(frames):
+            self._check(
+                frame, {mode: batch[q] for mode, batch in batches.items()}
+            )
+
+    @invariant()
+    def pinned_epoch_is_frozen(self) -> None:
+        if hasattr(self, "pinned"):
+            assert self.pinned.n_slices == self.pinned_count
+
+    def teardown(self) -> None:
+        if hasattr(self, "plane"):
+            self.plane.close()
+
+
+ShardedPlaneMachine.TestCase.settings = settings(
+    max_examples=15, stateful_step_count=10, deadline=None
+)
+TestShardedPlaneMachine = ShardedPlaneMachine.TestCase

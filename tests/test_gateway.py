@@ -147,6 +147,47 @@ class TestBatchBitIdentity:
             server.close()
 
 
+class TestBadFrameIsolation:
+    @pytest.mark.parametrize("offload", [False, True])
+    def test_nan_frame_fails_only_its_own_request(self, offload):
+        """Regression: one NaN frame used to crash the dispatcher (a raw
+        ``IndexError`` from the walk), failing every co-batched request
+        of every tenant."""
+        slices = _random_slices(5)
+        good = _frames(5, n=6)
+        bad = good[0].copy()
+        bad[100] = np.nan
+        requests = [(f"tenant-{i % 3}", frame) for i, frame in enumerate(good)]
+        requests.insert(3, ("tenant-0", bad))
+        server = CloudServer(slices)
+        try:
+            gateway = ServingGateway(
+                server,
+                GatewayConfig(
+                    max_batch=16,
+                    offload_batches=offload,
+                    resilience=ResilienceConfig(max_retries=0),
+                ),
+            )
+            outcomes = asyncio.run(_submit_all(gateway, requests))
+            assert gateway.dispatcher_crash is None
+            assert gateway.batches_served == 1  # all rode one batch
+            for (_, frame), outcome in zip(requests, outcomes):
+                if frame is bad:
+                    assert not outcome.ok
+                    assert outcome.failure == "search_error"
+                    continue
+                assert outcome.ok
+                reference, _ = server.handle_frame(frame)
+                assert _match_key(outcome.result) == _match_key(reference)
+                assert (
+                    outcome.result.correlations_evaluated
+                    == reference.correlations_evaluated
+                )
+        finally:
+            server.close()
+
+
 class TestAdmissionControl:
     def test_global_pending_bound_rejects(self):
         slices = _random_slices(2, n=6)
