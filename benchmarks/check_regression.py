@@ -33,7 +33,7 @@ legacy per-request path and a compiled one-shard
 
 **Edge-plane gate** — tracks the same candidate set and frame stream
 through the scalar per-candidate loop, the compiled
-:class:`~repro.edge.plane.TrackingPlane` and the batched
+:class:`~repro.edge.plane.CompiledTrackingEngine` and the batched
 :class:`~repro.edge.fleet.FleetTracker`
 (``benchmarks/baselines/edge_plane_throughput.json``).  It fails when:
 
@@ -91,7 +91,7 @@ a one-shard full-rebuild plane and the sharded delta-refresh plane
   recompile.
 
 **Fleet gate** — steps a 1000-session x 10-candidate fleet through the
-fused slice-major megabatch path and the sequential session-major loop
+fused one-call step and the sequential one-call-per-pair loop
 (``benchmarks/baselines/fleet_throughput.json``).  It fails when:
 
 * any session's tracking steps stop being **bit-identical** between
@@ -101,10 +101,8 @@ fused slice-major megabatch path and the sequential session-major loop
 * the fused speedup falls below the **4x absolute floor** —
   self-normalising (both arms share the host), and sized for a
   multi-core CI runner: the fused win is one kernel dispatch per
-  unique slice instead of one per (session, candidate) pair, plus the
-  rect kernel's thread pool.  On a single-core host the dispatch
-  amortisation alone lands near ~3.5-4x; the thread pool carries it
-  clear of the floor on CI hardware.
+  step instead of one per (session, candidate) pair, plus the
+  kernel's thread pool.
 
 Regenerate the baselines after an intentional change with::
 
@@ -166,9 +164,9 @@ TWO_STAGE_N_QUERIES = 12
 SHARD_DELTA_SPEEDUP_FLOOR = 5.0
 SHARD_SLICES_PER_SHARD = 16
 SHARD_N_INSERTS = 4
-#: 4x on a multi-core runner (CI): dispatch amortisation + the rect
+#: 4x on a multi-core runner (CI): dispatch amortisation + the
 #: kernel's thread pool.  A single-core host only gets the dispatch
-#: amortisation (~3.5x at the gate scale), so the floor relaxes there.
+#: amortisation, so the floor relaxes there.
 FLEET_SPEEDUP_FLOOR = 4.0 if (os.cpu_count() or 1) >= 2 else 2.5
 FLEET_SESSIONS = 1000
 FLEET_CANDIDATES_PER_SESSION = 10
@@ -483,7 +481,7 @@ def compare_fleet(summary: dict, baseline: dict) -> list[str]:
             f"{FLEET_SPEEDUP_FLOOR:g}x floor at {summary['sessions']} "
             f"sessions (baseline {baseline['speedup']:.2f}x, "
             f"kernel={summary['kernel']}, threads={summary['threads']}) — "
-            "megabatch-stepping regression"
+            "fused-stepping regression"
         )
     return failures
 

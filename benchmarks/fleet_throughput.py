@@ -6,12 +6,12 @@ sampled from a shared pool of ``unique_slices`` (the multi-patient
 shape: heavy cross-session slice sharing) — through the same frames
 two ways:
 
-* **sequential** — ``FleetTracker(fused=False)``: the historical
-  session-major loop, one ``abs_diff_row_sums`` dispatch per
-  (session, candidate) pair per frame;
-* **fused** — ``FleetTracker(fused=True)``: the slice-major megabatch
-  planner, one multi-query ``abs_diff_rect_sums`` dispatch per unique
-  compiled slice per frame, cells spread over the kernel thread pool.
+* **sequential** — ``FleetTracker(fused=False)``: one
+  ``evaluate_pairs`` kernel call per (session, candidate) pair per
+  frame;
+* **fused** — ``FleetTracker(fused=True)``: one ``evaluate_pairs``
+  call for every pair of the frame, pairs spread over the kernel
+  thread pool.
 
 Both arms run the identical Algorithm 2 arithmetic, and the harness
 verifies frame by frame that every session's tracking steps are
@@ -77,7 +77,7 @@ class FleetThroughputResult:
 
     def report(self) -> str:
         lines = [
-            "Fleet stepping throughput: fused slice-major vs sequential",
+            "Fleet stepping throughput: fused one-call step vs sequential",
             f"  fleet: {self.sessions} sessions x "
             f"{self.candidates_per_session} candidates "
             f"({self.unique_slices} unique slices, "
@@ -86,8 +86,8 @@ class FleetThroughputResult:
             f"{self.sequential_ms_per_frame:7.1f} ms/frame",
             f"  fused:      {self.fused_s:.3f}s total, "
             f"{self.fused_ms_per_frame:7.1f} ms/frame "
-            f"({self.fused_groups} kernel calls for "
-            f"{self.fused_pairs} pairs, kernel={self.kernel}, "
+            f"(one kernel call: {self.fused_pairs} pairs over "
+            f"{self.fused_groups} slices, kernel={self.kernel}, "
             f"threads={self.threads})",
             f"  speedup: {self.speedup:.2f}x, "
             f"bit-identical: {self.identical}",

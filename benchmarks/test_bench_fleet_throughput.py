@@ -1,8 +1,8 @@
-"""Bench: fleet stepping throughput, fused slice-major vs sequential.
+"""Bench: fleet stepping throughput, fused one-call step vs sequential.
 
-The acceptance bar for the fused megabatch planner: stepping a
-1000-session x 10-candidate fleet through the slice-grouped
-``abs_diff_rect_sums`` path beats the sequential session-major loop by
+The acceptance bar for the fused step: stepping a 1000-session x
+10-candidate fleet with one ``evaluate_pairs`` call per frame beats
+one call per (session, candidate) pair by
 at least 4x on a multi-core runner — with bit-identical tracking steps
 for every session at every frame.  On a single-core host the dispatch
 amortisation alone must still clear 2.5x (the thread pool contributes

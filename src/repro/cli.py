@@ -57,6 +57,8 @@ def _add_two_stage(sub: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    from repro.edge.tracker import TRACKING_ENGINES, TrackerConfig
+
     parser = argparse.ArgumentParser(
         prog="emap",
         description=f"Reproduction harness for: {PAPER}",
@@ -97,9 +99,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     monitor.add_argument(
         "--engine",
-        choices=["scalar", "plane"],
-        default="scalar",
-        help="edge tracking engine (plane = compiled set, fused stepping)",
+        choices=list(TRACKING_ENGINES),
+        default=TrackerConfig().engine,
+        help="edge tracking engine (plane = compiled slices, one kernel "
+        "call per step; scalar = reference loop)",
     )
     _add_two_stage(monitor)
 
@@ -132,9 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     obs_cmd.add_argument(
         "--engine",
-        choices=["scalar", "plane"],
-        default="scalar",
-        help="edge tracking engine (plane = compiled set, fused stepping)",
+        choices=list(TRACKING_ENGINES),
+        default=TrackerConfig().engine,
+        help="edge tracking engine (plane = compiled slices, one kernel "
+        "call per step; scalar = reference loop)",
     )
     obs_cmd.add_argument(
         "--chunk-samples",

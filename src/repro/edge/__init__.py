@@ -5,13 +5,13 @@
 * :mod:`repro.edge.tracker` — Algorithm 2: area-between-curves signal
   tracking over the downloaded correlation set (scalar reference
   engine plus the engine seam).
-* :mod:`repro.edge.plane` — the compiled tracking plane: the loaded
-  correlation set compiled once into one contiguous window tensor,
-  each step a single fused reduction (bit-identical to the scalar
-  engine).
-* :mod:`repro.edge.fleet` — many concurrent sessions stepped in one
-  batched call, compiled slices deduplicated across sessions by
-  slice id.
+* :mod:`repro.edge.plane` — the compiled tracking path: each adopted
+  slice compiled once to per-offset statistics in a ``slice_id``-keyed
+  cache, each step a single kernel call (bit-identical to the scalar
+  engine); the default ``engine="plane"``.
+* :mod:`repro.edge.fleet` — many concurrent sessions stepped in the
+  same single call, compiled slices shared across sessions by slice
+  id.
 * :mod:`repro.edge.predictor` — anomaly-probability trend analysis and
   the anomaly / normal decision.
 * :mod:`repro.edge.device` — the edge device facade combining all three
@@ -22,7 +22,7 @@ from repro.edge.acquisition import SignalAcquisition
 from repro.edge.device import CloudCallPolicy, EdgeDevice
 from repro.edge.energy import EdgeEnergyModel, EnergySpec, SessionEnergy
 from repro.edge.fleet import FleetTracker
-from repro.edge.plane import TrackingPlane, compile_slice_windows
+from repro.edge.plane import CompiledTrackingEngine
 from repro.edge.predictor import AnomalyPredictor, PredictorConfig, ProbabilityTrace
 from repro.edge.tracker import (
     ScalarTrackingEngine,
@@ -36,6 +36,7 @@ from repro.edge.tracker import (
 __all__ = [
     "AnomalyPredictor",
     "CloudCallPolicy",
+    "CompiledTrackingEngine",
     "EdgeDevice",
     "EdgeEnergyModel",
     "EnergySpec",
@@ -49,7 +50,5 @@ __all__ = [
     "TrackedSignal",
     "TrackerConfig",
     "TrackingEngine",
-    "TrackingPlane",
     "TrackingStep",
-    "compile_slice_windows",
 ]

@@ -2,96 +2,44 @@
 
 A deployment tracking thousands of concurrent patients does not get
 thousands of independent correlation sets: the cloud hands every
-session matches drawn from the *same* mega-database, so the expensive
-frame-invariant compile work (strided windows, per-offset means/RMS,
-normalisation — see :mod:`repro.edge.plane`) is massively duplicated
-across sessions.  :class:`FleetTracker` hosts the sessions behind one
-object and deduplicates that work content-addressed by slice id: the
-first session to adopt an MDB slice compiles it via
-:func:`~repro.edge.plane.compile_slice_windows`; every other session
-tracking the same slice shares the compiled tensor.  Entries are
-reference-counted and evicted as soon as no session tracks them.
+session matches drawn from the *same* mega-database, so the
+frame-invariant compile work (per-offset means, scales and flat
+markers — see :mod:`repro.edge.plane`) is massively duplicated across
+sessions.  :class:`FleetTracker` hosts the sessions behind one object
+over one :class:`~repro.edge.plane.SliceCache`: the first session to
+adopt an MDB slice compiles it, every other session tracking the same
+``slice_id`` shares the compiled entry, and entries are evicted as soon
+as no session tracks them.
 
 :meth:`FleetTracker.step` advances every session supplied in one
-batched call.  The default **fused** path is *slice-major*: a step
-planner groups every (session, candidate) evaluation by its
-deduplicated compiled slice (the content-addressed cache entry already
-identifies sharing), stacks the queries of all sessions tracking that
-slice into one contiguous matrix, and evaluates each unique slice's
-window tensor against all of its queries in a single
-:func:`repro.edge._kernels.abs_diff_rect_sums` call — one kernel
-dispatch per unique slice instead of one per (session, candidate)
-pair, with the kernel spreading the independent cells over a pthread
-pool (ctypes releases the GIL, so the megabatch runs truly
-multi-core).  Results are committed back per session in submission
-order, so per-session outcomes — areas, offsets, removals,
-``area_evaluations``, PA — stay **bit-identical** both to the
-sequential session-major path (``fused=False``) and to an independent
-:class:`~repro.edge.tracker.SignalTracker` stepping the same frames
-(``tests/test_edge_plane.py`` asserts it).
-
-Slices with an empty ``slice_id`` cannot be content-addressed and are
-compiled privately per candidate (correct, just unshared — each
-becomes its own single-query group under the fused planner).
+batched call.  The default **fused** path evaluates every (session,
+candidate) pair of the step in a *single*
+:func:`repro.edge._kernels.evaluate_pairs` call, which normalises the
+windows on the fly and spreads the pairs over a pthread pool (ctypes
+releases the GIL, so the step runs truly multi-core).  ``fused=False``
+is the reference arm the fleet throughput gate measures against: the
+same pairs, one kernel call each.  Results are committed back per
+session in submission order, so per-session outcomes — areas, offsets,
+removals, ``area_evaluations``, PA — are **bit-identical** on both
+arms and to an independent :class:`~repro.edge.tracker.SignalTracker`
+stepping the same frames (``tests/test_edge_fleet_fused.py`` asserts
+it under churn).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections import Counter
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.cloud.results import SearchMatch, SearchResult
-from repro.edge._kernels import (
-    abs_diff_rect_sums,
-    abs_diff_row_sums,
-    kernel_backend,
-    kernel_threads,
-)
-from repro.edge.plane import CompiledSliceWindows, compile_slice_windows
-from repro.edge.tracker import TrackedSignal, TrackerConfig, TrackingStep
+from repro.edge._kernels import kernel_backend, kernel_threads
+from repro.edge.plane import CompiledSession, SliceCache, step_sessions
+from repro.edge.tracker import TrackedSignal, TrackerConfig, TrackingStep, check_frame
 from repro.errors import TrackingError
-from repro.signals.metrics import normalized_query
-
-
-@dataclass
-class _CacheEntry:
-    """One compiled slice plus how many live candidates reference it."""
-
-    key: object
-    windows: CompiledSliceWindows | None  # None: slice shorter than a frame
-    refs: int = 0
-
-
-@dataclass
-class _FleetSession:
-    """Per-session tracking state (mirrors ``SignalTracker``'s)."""
-
-    signals: list[TrackedSignal]
-    entries: list[_CacheEntry]  # parallel to ``signals``
-    iteration: int = 0
-
-
-@dataclass
-class _SliceGroup:
-    """One unique compiled slice's megabatch for a fused step.
-
-    ``queries``/``worsts`` collect, in plan order, the (normalised)
-    query and worst-case area of every (session, candidate) pair that
-    tracks this slice this step; after evaluation ``best``/``best_areas``
-    hold each pair's argmin offset index and its area (as plain Python
-    ints/floats — one bulk ``tolist`` beats 10k per-pair numpy-scalar
-    conversions in the commit loop, with identical values).
-    """
-
-    windows: CompiledSliceWindows
-    queries: list[np.ndarray] = field(default_factory=list)
-    worsts: list[float] = field(default_factory=list)
-    best: list[int] | None = None
-    best_areas: list[float] | None = None
 
 
 class FleetTracker:
@@ -99,8 +47,8 @@ class FleetTracker:
 
     All sessions share a single :class:`~repro.edge.tracker.TrackerConfig`
     — the fleet shape assumes one deployment-wide parameterisation, which
-    is also what makes compiled slices shareable (windows depend on frame
-    size, stride and reference RMS).
+    is also what makes compiled slices shareable (their statistics depend
+    on frame size, stride and reference RMS).
     """
 
     def __init__(
@@ -108,12 +56,11 @@ class FleetTracker:
     ) -> None:
         self.config = config or TrackerConfig()
         self.fused = fused
-        self._sessions: dict[str, _FleetSession] = {}
-        self._cache: dict[object, _CacheEntry] = {}
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._sessions: dict[str, CompiledSession] = {}
+        self._cache = SliceCache(self.config)
         # Introspection for benchmarks / `emap obs`: shape of the last
-        # fused plan (0s until a fused step has run).
+        # fused step (0s until a fused step has run).  A group is one
+        # distinct compiled slice, a pair one (session, candidate).
         self.last_fused_groups = 0
         self.last_fused_pairs = 0
         self.last_fused_max_group = 0
@@ -130,30 +77,34 @@ class FleetTracker:
         return len(self._sessions)
 
     @property
+    def cache_hits(self) -> int:
+        return self._cache.hits
+
+    @property
+    def cache_misses(self) -> int:
+        return self._cache.misses
+
+    @property
     def unique_slices(self) -> int:
         """Distinct compiled slices currently cached."""
-        return len(self._cache)
+        return self._cache.unique_slices
 
     @property
     def tracked_references(self) -> int:
         """Live candidate → compiled-slice references across sessions."""
-        return sum(entry.refs for entry in self._cache.values())
+        return self._cache.tracked_references
 
     @property
     def compiled_bytes(self) -> int:
-        """Bytes of compiled windows held (shared entries counted once)."""
-        return sum(
-            entry.windows.nbytes
-            for entry in self._cache.values()
-            if entry.windows is not None
-        )
+        """Bytes of compiled slices held (shared entries counted once)."""
+        return self._cache.compiled_bytes
 
     @property
     def dedup_ratio(self) -> float:
         """References per unique slice (1.0 = no cross-session sharing)."""
-        if not self._cache:
+        if not self.unique_slices:
             return 1.0
-        return self.tracked_references / len(self._cache)
+        return self.tracked_references / self.unique_slices
 
     def tracked(self, session_id: str) -> tuple[TrackedSignal, ...]:
         """The session's live candidates, in tracking order."""
@@ -161,12 +112,9 @@ class FleetTracker:
 
     def anomaly_probability(self, session_id: str) -> float:
         """Eq. 5 PA for one session (0 when nothing is tracked)."""
-        signals = self._session(session_id).signals
-        if not signals:
-            return 0.0
-        return sum(1 for s in signals if s.anomalous) / len(signals)
+        return _probability(self._session(session_id).signals)
 
-    def _session(self, session_id: str) -> _FleetSession:
+    def _session(self, session_id: str) -> CompiledSession:
         try:
             return self._sessions[session_id]
         except KeyError:
@@ -189,71 +137,29 @@ class FleetTracker:
         entries_in = (
             matches.matches if isinstance(matches, SearchResult) else list(matches)
         )
-        signals: list[TrackedSignal] = []
-        entries: list[_CacheEntry] = []
-        try:
-            for match in entries_in:
-                signals.append(
-                    TrackedSignal(
-                        sig_slice=match.sig_slice,
-                        omega=match.omega,
-                        offset=match.offset,
-                    )
+        hits, misses = self._cache.hits, self._cache.misses
+        session = self._cache.open(
+            [
+                TrackedSignal(
+                    sig_slice=match.sig_slice, omega=match.omega, offset=match.offset
                 )
-                entries.append(self._acquire(match))
-        except Exception:
-            for entry in entries:
-                self._release(entry)
-            raise
+                for match in entries_in
+            ]
+        )
+        registry = obs.metrics()
+        if registry.enabled:
+            registry.inc("edge.fleet.cache_hits", self._cache.hits - hits)
+            registry.inc("edge.fleet.cache_misses", self._cache.misses - misses)
         if session_id in self._sessions:
             self.close_session(session_id)
-        self._sessions[session_id] = _FleetSession(signals=signals, entries=entries)
+        self._sessions[session_id] = session
         self._publish_gauges()
 
     def close_session(self, session_id: str) -> None:
         """Drop a session and release its compiled-slice references."""
-        session = self._session(session_id)
-        for entry in session.entries:
-            self._release(entry)
+        self._cache.close(self._session(session_id))
         del self._sessions[session_id]
         self._publish_gauges()
-
-    def _acquire(self, match: SearchMatch) -> _CacheEntry:
-        sig_slice = match.sig_slice
-        key: object = sig_slice.slice_id if sig_slice.slice_id else object()
-        entry = self._cache.get(key)
-        if entry is None:
-            entry = _CacheEntry(
-                key=key,
-                windows=compile_slice_windows(
-                    sig_slice.data,
-                    self.config.frame_samples,
-                    self.config.offset_stride,
-                    self.config.reference_rms,
-                ),
-            )
-            self._cache[key] = entry
-            self.cache_misses += 1
-            obs.metrics().inc("edge.fleet.cache_misses")
-        else:
-            self.cache_hits += 1
-            obs.metrics().inc("edge.fleet.cache_hits")
-        entry.refs += 1
-        return entry
-
-    def _release(self, entry: _CacheEntry) -> None:
-        if entry.refs <= 0:
-            # Already fully released (e.g. a stale handle released
-            # twice on a churn path) — decrementing again would
-            # underflow and evict an entry a re-registered session
-            # still references.
-            return
-        entry.refs -= 1
-        if entry.refs == 0 and self._cache.get(entry.key) is entry:
-            # The identity check guards the re-registration race: if a
-            # re-add already replaced this key with a fresh entry, the
-            # stale handle must not evict the live one.
-            del self._cache[entry.key]
 
     # -- batched stepping ----------------------------------------------
 
@@ -262,26 +168,34 @@ class FleetTracker:
 
         ``frames`` maps session id → that session's next input frame;
         sessions not present simply do not advance this round (their
-        amplifier delivered no complete frame yet).
+        amplifier delivered no complete frame yet).  Every session id and
+        frame is validated before any state changes: an unknown session,
+        a wrong shape or a non-finite sample raises
+        :class:`~repro.errors.TrackingError` and no session advances.
         """
         size = self.config.frame_samples
-        queries: dict[str, np.ndarray] = {}
+        batch: list[tuple[CompiledSession, np.ndarray]] = []
         for session_id, frame in frames.items():
-            self._session(session_id)  # validate before mutating any state
-            data = np.asarray(frame, dtype=np.float64)
-            if data.ndim != 1 or data.size != size:
-                raise TrackingError(
-                    f"tracking frame must be 1-D with {size} samples, "
-                    f"got shape {data.shape} for session {session_id!r}"
-                )
-            queries[session_id] = data
+            session = self._session(session_id)
+            batch.append(
+                (session, check_frame(frame, size, f" for session {session_id!r}"))
+            )
+        started = time.perf_counter()
+        with obs.trace.span("edge.fleet.step", sessions=len(batch)) as span:
+            outcomes, slices = step_sessions(self._cache, batch, fused=self.fused)
         steps: dict[str, TrackingStep] = {}
-        with obs.trace.span("edge.fleet.step", sessions=len(queries)) as span:
-            if self.fused:
-                steps = self._step_fused(queries)
-            else:
-                for session_id, data in queries.items():
-                    steps[session_id] = self._step_session(session_id, data)
+        for session_id, (session, _), outcome in zip(frames, batch, outcomes):
+            session.iteration += 1
+            steps[session_id] = TrackingStep(
+                iteration=session.iteration,
+                tracked_before=len(outcome.survivors) + len(outcome.removed),
+                removed=len(outcome.removed),
+                area_evaluations=outcome.area_evaluations,
+                anomaly_probability=_probability(outcome.survivors),
+                removed_signals=outcome.removed,
+            )
+        if self.fused:
+            self._record_plan(slices, time.perf_counter() - started)
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("edge.fleet.steps")
@@ -293,204 +207,22 @@ class FleetTracker:
             self._publish_gauges()
         return steps
 
-    def _step_session(self, session_id: str, data: np.ndarray) -> TrackingStep:
-        session = self._sessions[session_id]
-        session.iteration += 1
-        tracked_before = len(session.signals)
-        if self.config.reference_rms is not None:
-            query = normalized_query(data, self.config.reference_rms)
-            worst = float(np.abs(query).sum())
-        else:
-            query = np.ascontiguousarray(data)
-            worst = float("inf")
-
-        survivors: list[TrackedSignal] = []
-        surviving_entries: list[_CacheEntry] = []
-        removed: list[TrackedSignal] = []
-        to_release: list[_CacheEntry] = []
-        evaluations = 0
-        for signal, entry in zip(session.signals, session.entries):
-            compiled = entry.windows
-            if compiled is None:
-                # Slice too short for even one comparison window.
-                signal.last_area = float("inf")
-                removed.append(signal)
-                to_release.append(entry)
-                continue
-            areas = abs_diff_row_sums(compiled.windows, query)
-            areas[compiled.flat] = worst
-            evaluations += areas.size
-            best = int(np.argmin(areas))
-            signal.last_area = float(areas[best])
-            if signal.last_area > self.config.area_threshold:
-                removed.append(signal)
-                to_release.append(entry)
-            else:
-                signal.offset = best * self.config.offset_stride
-                survivors.append(signal)
-                surviving_entries.append(entry)
-        # Commit the survivor set before releasing: the session never
-        # holds entries it no longer owns, even if a release faults.
-        session.signals = survivors
-        session.entries = surviving_entries
-        for entry in to_release:
-            self._release(entry)
-        return TrackingStep(
-            iteration=session.iteration,
-            tracked_before=tracked_before,
-            removed=len(removed),
-            area_evaluations=evaluations,
-            anomaly_probability=self.anomaly_probability(session_id),
-            removed_signals=removed,
-        )
-
-    # -- fused slice-major stepping ------------------------------------
-
-    def _prepare_query(self, data: np.ndarray) -> tuple[np.ndarray, float]:
-        """Normalise one frame and compute its worst-case (flat) area."""
-        if self.config.reference_rms is not None:
-            query = normalized_query(data, self.config.reference_rms)
-            return query, float(np.abs(query).sum())
-        return np.ascontiguousarray(data), float("inf")
-
-    def _step_fused(
-        self, queries: Mapping[str, np.ndarray]
-    ) -> dict[str, TrackingStep]:
-        """Slice-major megabatch step: plan → fused evaluate → commit.
-
-        Planning walks sessions in submission order and groups every
-        (session, candidate) pair by the *identity* of its shared cache
-        entry, so two sessions tracking the same MDB slice land in the
-        same group and are answered by one kernel call.  Evaluation runs
-        one :func:`abs_diff_rect_sums` per group — all state mutation is
-        deferred to the commit phase, so a slice being evicted as a
-        result of this step can never invalidate a tensor another group
-        still has to read.  Commit then replays each session in the
-        exact order (and with the exact arithmetic) of
-        :meth:`_step_session`.
-        """
-        started = time.perf_counter()
-        # -- plan ------------------------------------------------------
-        prepared = {
-            session_id: self._prepare_query(data)
-            for session_id, data in queries.items()
-        }
-        groups: dict[int, _SliceGroup] = {}
-        # Per session: one slot per candidate — (group, row index) for
-        # evaluable candidates, None for slices shorter than a frame.
-        slots: dict[str, list[tuple[_SliceGroup, int] | None]] = {}
-        for session_id in queries:
-            session = self._sessions[session_id]
-            query, worst = prepared[session_id]
-            rows: list[tuple[_SliceGroup, int] | None] = []
-            for entry in session.entries:
-                if entry.windows is None:
-                    rows.append(None)
-                    continue
-                group = groups.get(id(entry))
-                if group is None:
-                    group = _SliceGroup(windows=entry.windows)
-                    groups[id(entry)] = group
-                group.queries.append(query)
-                group.worsts.append(worst)
-                rows.append((group, len(group.queries) - 1))
-            slots[session_id] = rows
-
-        # -- fused evaluate --------------------------------------------
-        threads = kernel_threads() if kernel_backend() == "c" else 1
-        for group in groups.values():
-            stacked = np.stack(group.queries)
-            areas = abs_diff_rect_sums(
-                group.windows.windows, stacked, threads=threads
-            )
-            flat = group.windows.flat
-            if flat.any():
-                # Same override `_step_session` applies per pair, as one
-                # broadcast assignment: each pair's own worst-case area.
-                areas[:, flat] = np.asarray(group.worsts)[:, None]
-            # np.argmin along the offset axis keeps the sequential
-            # path's first-index tie-break per pair.
-            best = np.argmin(areas, axis=1)
-            group.best = best.tolist()
-            group.best_areas = areas[np.arange(areas.shape[0]), best].tolist()
-
-        # -- per-session commit, in submission order -------------------
-        steps = {
-            session_id: self._commit_session(session_id, slots[session_id])
-            for session_id in queries
-        }
-
+    def _record_plan(self, slices: Sequence[object], elapsed_s: float) -> None:
+        groups = Counter(map(id, slices))
         self.last_fused_groups = len(groups)
-        self.last_fused_pairs = sum(len(g.queries) for g in groups.values())
-        self.last_fused_max_group = max(
-            (len(g.queries) for g in groups.values()), default=0
-        )
-        self.last_fused_step_s = time.perf_counter() - started
+        self.last_fused_pairs = len(slices)
+        self.last_fused_max_group = max(groups.values(), default=0)
+        self.last_fused_step_s = elapsed_s
         registry = obs.metrics()
         if registry.enabled:
-            registry.observe("edge.fleet.fused_step_s", self.last_fused_step_s)
+            registry.observe("edge.fleet.fused_step_s", elapsed_s)
             registry.observe("edge.fleet.fused_groups", len(groups))
-            for group in groups.values():
-                registry.observe(
-                    "edge.fleet.fused_queries_per_group", len(group.queries)
-                )
-            registry.set_gauge("edge.fleet.fused_kernel_threads", threads)
-        return steps
-
-    def _commit_session(
-        self,
-        session_id: str,
-        rows: Sequence[tuple[_SliceGroup, int] | None],
-    ) -> TrackingStep:
-        """Apply one session's fused results, mirroring `_step_session`."""
-        session = self._sessions[session_id]
-        session.iteration += 1
-        tracked_before = len(session.signals)
-        survivors: list[TrackedSignal] = []
-        surviving_entries: list[_CacheEntry] = []
-        removed: list[TrackedSignal] = []
-        to_release: list[_CacheEntry] = []
-        evaluations = 0
-        for signal, entry, slot in zip(session.signals, session.entries, rows):
-            if slot is None:
-                # Slice too short for even one comparison window.
-                signal.last_area = float("inf")
-                removed.append(signal)
-                to_release.append(entry)
-                continue
-            group, index = slot
-            assert group.best is not None and group.best_areas is not None
-            evaluations += group.windows.n_offsets
-            signal.last_area = group.best_areas[index]
-            if signal.last_area > self.config.area_threshold:
-                removed.append(signal)
-                to_release.append(entry)
-            else:
-                signal.offset = group.best[index] * self.config.offset_stride
-                survivors.append(signal)
-                surviving_entries.append(entry)
-        # Commit the survivor set before releasing: the session never
-        # holds entries it no longer owns, even if a release faults.
-        session.signals = survivors
-        session.entries = surviving_entries
-        for entry in to_release:
-            self._release(entry)
-        # Same Eq. 5 value ``anomaly_probability(session_id)`` returns,
-        # computed over the just-committed survivor list directly.
-        if survivors:
-            probability = sum(1 for s in survivors if s.anomalous) / len(
-                survivors
+            for size in groups.values():
+                registry.observe("edge.fleet.fused_queries_per_group", size)
+            registry.set_gauge(
+                "edge.fleet.fused_kernel_threads",
+                kernel_threads() if kernel_backend() == "c" else 1,
             )
-        else:
-            probability = 0.0
-        return TrackingStep(
-            iteration=session.iteration,
-            tracked_before=tracked_before,
-            removed=len(removed),
-            area_evaluations=evaluations,
-            anomaly_probability=probability,
-            removed_signals=removed,
-        )
 
     def _publish_gauges(self) -> None:
         registry = obs.metrics()
@@ -500,3 +232,10 @@ class FleetTracker:
         registry.set_gauge("edge.fleet.unique_slices", self.unique_slices)
         registry.set_gauge("edge.fleet.tracked_references", self.tracked_references)
         registry.set_gauge("edge.fleet.compiled_bytes", self.compiled_bytes)
+
+
+def _probability(signals: Sequence[TrackedSignal]) -> float:
+    """Eq. 5: ``PA = N(AS) / N(F)`` (0 when nothing is tracked)."""
+    if not signals:
+        return 0.0
+    return sum(1 for s in signals if s.anomalous) / len(signals)

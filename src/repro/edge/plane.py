@@ -1,35 +1,34 @@
-"""The compiled edge tracking plane (Algorithm 2 as one batched reduction).
+"""The compiled edge tracking path (Algorithm 2 as one kernel call per step).
 
 :class:`~repro.edge.tracker.ScalarTrackingEngine` walks the correlation
 set in a Python loop and calls
 :func:`~repro.signals.metrics.sliding_area_normalized` per candidate per
-frame — rebuilding prefix sums, per-offset means/RMS and normalised
-windows for slices that *have not changed since the cloud returned
-them*.  Those statistics are frame-invariant, so the plane computes
-them exactly once per :meth:`TrackingPlane.load`: every candidate's
-strided slice windows are stacked into one contiguous
-``(candidates, offsets, frame_samples)`` tensor (offsets padded to the
-longest slice, normalised at compile time in reference-RMS mode), and a
-whole tracking step becomes a single vectorised reduction
-``|W_norm − query|.sum(axis=-1)`` plus mask-based pruning.  The
-reduction itself runs through :func:`repro.edge._kernels.abs_diff_row_sums`
-— one fused pass over the tensor instead of numpy's three (subtract,
-abs, sum), which matters because the tensor is far larger than cache.
+frame — rebuilding prefix sums and per-offset means/RMS for slices that
+*have not changed since the cloud returned them*.  Those statistics are
+frame-invariant, so this path compiles them once per slice
+(:func:`repro.edge._kernels.compile_slice`: raw samples plus per-offset
+mean, scale and flat marker — no window matrix) and a tracking step
+becomes a single :func:`repro.edge._kernels.evaluate_pairs` call over
+every (compiled slice, query) pair, normalising the windows inside the
+kernel.
 
-Bit-identity: the compile step uses the same
-:func:`~repro.signals.metrics.sliding_window_stats` /
-:func:`~repro.signals.metrics.normalized_sliding_windows` formulas as
-the scalar path, and the step kernel applies the identical
-subtract → abs → pairwise-sum operation order over the same window
-values (self-checked bitwise against numpy at backend selection), so
-areas, best offsets, removals, ``area_evaluations`` and the anomaly
-probability match the scalar engine exactly
-(``tests/test_edge_plane.py`` holds the plane to that property).
+Compiled slices live in a :class:`SliceCache`: content-addressed by
+``slice_id`` and reference-counted, so sessions tracking the same MDB
+slice share one entry, a re-adoption whose slices overlap the old set
+acquires the new set *before* releasing the old one (the overlap stays
+warm instead of being evicted and recompiled), and an entry is evicted
+as soon as no candidate references it.  Slices with an empty
+``slice_id`` cannot be content-addressed and are compiled privately
+per candidate.
 
-Pruning never re-stacks per frame: a removal only clears the
-candidate's row in the *alive* mask, and the tensor is compacted (one
-gather) lazily once the live fraction drops below
-:data:`COMPACT_FRACTION`.
+Two front ends share this path: :class:`CompiledTrackingEngine`, the
+``engine="plane"`` :class:`~repro.edge.tracker.SignalTracker` engine
+(the one-session case), and :class:`~repro.edge.fleet.FleetTracker`,
+which steps many sessions in the same single call.  :func:`step_sessions`
+evaluates first and commits afterwards, replaying the scalar engine's
+per-candidate order and arithmetic, so areas, best offsets, removals,
+``area_evaluations`` and the anomaly probability match it bit for bit
+(``tests/test_edge_plane.py`` holds every front end to that property).
 """
 
 from __future__ import annotations
@@ -39,240 +38,220 @@ from typing import Sequence
 
 import numpy as np
 
-from repro import obs
-from repro.edge._kernels import abs_diff_rect_sums, kernel_backend, kernel_threads
+from repro.edge._kernels import CompiledSlice, compile_slice, evaluate_pairs
 from repro.edge.tracker import EngineStep, TrackedSignal, TrackerConfig
-from repro.signals.metrics import (
-    normalized_query,
-    normalized_sliding_windows,
-    sliding_window_stats,
-)
-
-#: Compact the compiled tensor once fewer than this fraction of its
-#: rows is still alive; until then removals only flip the alive mask.
-COMPACT_FRACTION = 0.5
+from repro.signals.metrics import normalized_query
+from repro.signals.types import SignalSlice
 
 
-@dataclass(frozen=True)
-class CompiledSliceWindows:
-    """One slice's comparison windows, materialised and frame-invariant.
+@dataclass
+class SliceEntry:
+    """One compiled slice plus how many live candidates reference it."""
 
-    ``windows`` holds the per-offset comparison windows — normalised to
-    zero mean and the reference RMS when the tracker runs in
-    reference-RMS mode, the raw strided windows otherwise.  ``flat``
-    marks zero-variance offsets whose area must be overridden with the
-    query's worst case at evaluation time (all-False in raw mode,
-    which has no such override).
-    """
+    key: object
+    compiled: CompiledSlice | None  # None: slice shorter than a frame
+    refs: int = 0
 
-    windows: np.ndarray
-    flat: np.ndarray
+
+@dataclass
+class CompiledSession:
+    """One session's live candidates and their cache entries, in order."""
+
+    signals: list[TrackedSignal]
+    entries: list[SliceEntry]  # parallel to ``signals``
+    iteration: int = 0
+
+
+class SliceCache:
+    """Compiled slices keyed by ``slice_id``, reference-counted."""
+
+    def __init__(self, config: TrackerConfig) -> None:
+        self.config = config
+        self._entries: dict[object, SliceEntry] = {}
+        self.hits = 0
+        self.misses = 0
 
     @property
-    def n_offsets(self) -> int:
-        return int(self.windows.shape[0])
+    def unique_slices(self) -> int:
+        """Distinct compiled slices currently cached."""
+        return len(self._entries)
 
     @property
-    def nbytes(self) -> int:
-        return int(self.windows.nbytes + self.flat.nbytes)
+    def tracked_references(self) -> int:
+        """Live candidate → compiled-slice references."""
+        return sum(entry.refs for entry in self._entries.values())
+
+    @property
+    def compiled_bytes(self) -> int:
+        """Bytes of compiled slices held (shared entries counted once)."""
+        return sum(
+            entry.compiled.nbytes
+            for entry in self._entries.values()
+            if entry.compiled is not None
+        )
+
+    def acquire(self, sig_slice: SignalSlice) -> SliceEntry:
+        key: object = sig_slice.slice_id if sig_slice.slice_id else object()
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = SliceEntry(
+                key=key,
+                compiled=compile_slice(
+                    sig_slice.data,
+                    self.config.frame_samples,
+                    self.config.offset_stride,
+                    self.config.reference_rms,
+                ),
+            )
+            self._entries[key] = entry
+            self.misses += 1
+        else:
+            self.hits += 1
+        entry.refs += 1
+        return entry
+
+    def release(self, entry: SliceEntry) -> None:
+        if entry.refs <= 0:
+            # Already fully released (e.g. a stale handle released
+            # twice on a churn path) — decrementing again would
+            # underflow and evict an entry a re-registered session
+            # still references.
+            return
+        entry.refs -= 1
+        if entry.refs == 0 and self._entries.get(entry.key) is entry:
+            # The identity check guards the re-registration race: if a
+            # re-add already replaced this key with a fresh entry, the
+            # stale handle must not evict the live one.
+            del self._entries[entry.key]
+
+    def open(self, signals: Sequence[TrackedSignal]) -> CompiledSession:
+        """Acquire every candidate's entry; all-or-nothing."""
+        entries: list[SliceEntry] = []
+        try:
+            for signal in signals:
+                entries.append(self.acquire(signal.sig_slice))
+        except Exception:
+            for entry in entries:
+                self.release(entry)
+            raise
+        return CompiledSession(signals=list(signals), entries=entries)
+
+    def close(self, session: CompiledSession) -> None:
+        for entry in session.entries:
+            self.release(entry)
 
 
-def compile_slice_windows(
-    data: np.ndarray,
-    frame_samples: int,
-    stride: int,
-    reference_rms: float | None,
-) -> CompiledSliceWindows | None:
-    """Compile one slice's windows; ``None`` when the slice is short.
+def step_sessions(
+    cache: SliceCache,
+    batch: Sequence[tuple[CompiledSession, np.ndarray]],
+    *,
+    fused: bool = True,
+) -> tuple[list[EngineStep], list[CompiledSlice]]:
+    """Advance each ``(session, frame)`` of ``batch`` by one frame.
 
-    Shared by the single-session :class:`TrackingPlane` and the
-    fleet-level slice cache (:mod:`repro.edge.fleet`) so both compile
-    exactly the statistics the scalar path would recompute per frame.
+    Plans one pair per evaluable candidate in batch order, evaluates
+    every pair in one kernel call (``fused``) or one call per pair, then
+    commits each session in the scalar engine's candidate order.  All
+    state mutation is deferred to the commit, so an entry evicted by
+    this step can never be released before every pair has read it.
+    Returns the per-session outcomes and the evaluated pairs' slices.
     """
-    if data.size < frame_samples:
-        return None
-    stats = sliding_window_stats(data, frame_samples, stride)
-    if reference_rms is not None:
-        windows = normalized_sliding_windows(stats, reference_rms)
-        flat = stats.flat.copy()
+    config = cache.config
+    frames = np.array([data for _, data in batch], dtype=np.float64).reshape(
+        len(batch), config.frame_samples
+    )
+    if config.reference_rms is not None:
+        queries = normalized_query(frames, config.reference_rms)
+        worsts = np.abs(queries).sum(axis=1)
     else:
-        windows = np.ascontiguousarray(stats.windows)
-        flat = np.zeros(stats.n_offsets, dtype=bool)
-    return CompiledSliceWindows(windows=windows, flat=flat)
+        queries, worsts = frames, np.full(len(batch), np.inf)
+    slices: list[CompiledSlice] = []
+    counts: list[int] = []
+    for session, _ in batch:
+        before = len(slices)
+        slices.extend(e.compiled for e in session.entries if e.compiled is not None)
+        counts.append(len(slices) - before)
+    pair_query = np.repeat(np.arange(len(batch), dtype=np.intp), counts)
+
+    stride = config.offset_stride
+    if fused:
+        best, best_area = evaluate_pairs(slices, pair_query, queries, worsts, stride)
+    else:
+        best = np.empty(len(slices), dtype=np.intp)
+        best_area = np.empty(len(slices))
+        first = np.zeros(1, dtype=np.intp)
+        for pair, (compiled, row) in enumerate(zip(slices, pair_query)):
+            one_best, one_area = evaluate_pairs(
+                [compiled],
+                first,
+                queries[row : row + 1],
+                worsts[row : row + 1],
+                stride,
+                threads=1,
+            )
+            best[pair], best_area[pair] = one_best[0], one_area[0]
+    # One bulk conversion beats per-pair numpy-scalar reads in the loop.
+    offsets = best.tolist()
+    areas = best_area.tolist()
+
+    outcomes: list[EngineStep] = []
+    cursor = 0
+    threshold = config.area_threshold
+    for session, _ in batch:
+        survivors: list[TrackedSignal] = []
+        kept: list[SliceEntry] = []
+        removed: list[TrackedSignal] = []
+        dropped: list[SliceEntry] = []
+        evaluations = 0
+        for signal, entry in zip(session.signals, session.entries):
+            if entry.compiled is None:
+                # Too short to hold even one comparison window: retired
+                # with a defined worst-case area.
+                signal.last_area = float("inf")
+                removed.append(signal)
+                dropped.append(entry)
+                continue
+            evaluations += entry.compiled.n_offsets
+            signal.last_area = areas[cursor]
+            if signal.last_area > threshold:
+                removed.append(signal)
+                dropped.append(entry)
+            else:
+                signal.offset = offsets[cursor] * stride
+                survivors.append(signal)
+                kept.append(entry)
+            cursor += 1
+        # Commit the survivor set before releasing: the session never
+        # holds entries it no longer owns, even if a release faults.
+        session.signals = survivors
+        session.entries = kept
+        for entry in dropped:
+            cache.release(entry)
+        outcomes.append(
+            EngineStep(survivors=survivors, removed=removed, area_evaluations=evaluations)
+        )
+    return outcomes, slices
 
 
-class TrackingPlane:
-    """Compiled single-session tracking engine (the plane proper).
+class CompiledTrackingEngine:
+    """``engine="plane"``: one session on the compiled path.
 
-    Implements the :class:`~repro.edge.tracker.TrackingEngine` seam:
-    :meth:`load` compiles the adopted correlation set,
-    :meth:`step` evaluates one frame against every live candidate in a
-    single reduction and prunes via the alive mask.
+    Implements the :class:`~repro.edge.tracker.TrackingEngine` seam with
+    its own :class:`SliceCache`: :meth:`load` acquires the new set
+    before releasing the old one, so candidates a cloud re-call returns
+    again are not recompiled, and :meth:`step` is one kernel call.
     """
 
     def __init__(self, config: TrackerConfig) -> None:
         self.config = config
-        self.compiles = 0
-        self.compactions = 0
-        self._signals: list[TrackedSignal] = []
-        self._tensor = np.zeros((0, 0, config.frame_samples))
-        self._areas = np.zeros((0, 0))
-        self._valid = np.zeros((0, 0), dtype=bool)
-        self._flat = np.zeros((0, 0), dtype=bool)
-        self._n_offsets = np.zeros(0, dtype=np.int64)
-        self._short = np.zeros(0, dtype=bool)
-        self._alive = np.zeros(0, dtype=bool)
-
-    # -- introspection -------------------------------------------------
-
-    @property
-    def compiled_candidates(self) -> int:
-        """Rows currently held in the compiled tensor (alive or not)."""
-        return len(self._signals)
-
-    @property
-    def alive_count(self) -> int:
-        return int(self._alive.sum())
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the compiled tensor, masks and area buffer."""
-        return int(
-            self._tensor.nbytes
-            + self._areas.nbytes
-            + self._valid.nbytes
-            + self._flat.nbytes
-        )
-
-    @property
-    def kernel(self) -> str:
-        """Reduction backend in use: ``"c"`` (fused) or ``"numpy"``."""
-        return kernel_backend()
-
-    @property
-    def kernel_threads(self) -> int:
-        """Worker threads the step reduction fans out over (1 = serial)."""
-        return kernel_threads() if kernel_backend() == "c" else 1
-
-    # -- engine seam ---------------------------------------------------
+        self.cache = SliceCache(config)
+        self._session = CompiledSession(signals=[], entries=[])
 
     def load(self, signals: Sequence[TrackedSignal]) -> None:
-        """Adopt and compile a fresh correlation set (once per load)."""
-        self._signals = list(signals)
-        self._compile()
-
-    def _compile(self) -> None:
-        m = self.config.frame_samples
-        stride = self.config.offset_stride
-        entries = self._signals
-        with obs.trace.span("edge.plane.compile", candidates=len(entries)) as span:
-            compiled: list[CompiledSliceWindows | None] = [
-                compile_slice_windows(
-                    signal.sig_slice.data, m, stride, self.config.reference_rms
-                )
-                for signal in entries
-            ]
-            n_offsets = np.array(
-                [0 if c is None else c.n_offsets for c in compiled], dtype=np.int64
-            )
-            count = len(entries)
-            width = int(n_offsets.max()) if count else 0
-            self._tensor = np.zeros((count, width, m))
-            self._valid = np.zeros((count, width), dtype=bool)
-            self._flat = np.zeros((count, width), dtype=bool)
-            for row, entry in enumerate(compiled):
-                if entry is None:
-                    continue
-                k = entry.n_offsets
-                self._tensor[row, :k] = entry.windows
-                self._valid[row, :k] = True
-                self._flat[row, :k] = entry.flat
-            self._n_offsets = n_offsets
-            self._short = n_offsets == 0
-            self._alive = np.ones(count, dtype=bool)
-            self._areas = np.empty((count, width))
-            self.compiles += 1
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("edge.plane.compiles")
-            registry.observe("edge.plane.compile_s", span.elapsed_s)
-            registry.set_gauge("edge.plane.candidates", count)
-            registry.set_gauge("edge.plane.compiled_bytes", self.nbytes)
+        session = self.cache.open(signals)
+        self.cache.close(self._session)
+        self._session = session
 
     def step(self, data: np.ndarray) -> EngineStep:
-        """Evaluate one frame against every live candidate at once."""
-        if not self._signals:
-            return EngineStep(survivors=[], removed=[], area_evaluations=0)
-        if self.config.reference_rms is not None:
-            query = normalized_query(data, self.config.reference_rms)
-            worst = float(np.abs(query).sum())
-        else:
-            query = np.ascontiguousarray(data)
-            worst = float("inf")
-
-        evaluable = self._alive & ~self._short
-        best: np.ndarray | None = None
-        best_areas: np.ndarray | None = None
-        if bool(evaluable.any()):
-            # One fused pass over the whole compiled tensor (dead rows
-            # included — compaction keeps that waste bounded), spread
-            # over the kernel thread pool: each (row, query) cell is
-            # independent, so the result is thread-count-invariant.
-            abs_diff_rect_sums(
-                self._tensor.reshape(-1, self._tensor.shape[2]),
-                query.reshape(1, -1),
-                out=self._areas.reshape(1, -1),
-                threads=self.kernel_threads,
-            )
-            areas = self._areas
-            areas[self._flat] = worst
-            areas[~self._valid] = np.inf
-            best = np.argmin(areas, axis=1)
-            best_areas = areas[np.arange(areas.shape[0]), best]
-
-        survivors: list[TrackedSignal] = []
-        removed: list[TrackedSignal] = []
-        evaluations = int(self._n_offsets[evaluable].sum())
-        for row, signal in enumerate(self._signals):
-            if not self._alive[row]:
-                continue
-            if self._short[row]:
-                signal.last_area = float("inf")
-                removed.append(signal)
-                self._alive[row] = False
-                continue
-            assert best is not None and best_areas is not None
-            signal.last_area = float(best_areas[row])
-            if signal.last_area > self.config.area_threshold:
-                removed.append(signal)
-                self._alive[row] = False
-            else:
-                signal.offset = int(best[row]) * self.config.offset_stride
-                survivors.append(signal)
-
-        if removed and self.alive_count < COMPACT_FRACTION * len(self._signals):
-            self._compact(survivors)
-        return EngineStep(
-            survivors=survivors, removed=removed, area_evaluations=evaluations
-        )
-
-    # -- lazy compaction ----------------------------------------------
-
-    def _compact(self, survivors: list[TrackedSignal]) -> None:
-        """Gather live rows into a dense tensor (no recompilation)."""
-        keep = self._alive
-        self._tensor = self._tensor[keep]
-        self._valid = self._valid[keep]
-        self._flat = self._flat[keep]
-        self._n_offsets = self._n_offsets[keep]
-        self._short = self._short[keep]
-        self._signals = list(survivors)
-        self._alive = np.ones(len(self._signals), dtype=bool)
-        self._tensor = np.ascontiguousarray(self._tensor)
-        self._areas = np.empty(self._tensor.shape[:2])
-        self.compactions += 1
-        registry = obs.metrics()
-        if registry.enabled:
-            registry.inc("edge.plane.compactions")
-            registry.set_gauge("edge.plane.candidates", len(self._signals))
-            registry.set_gauge("edge.plane.compiled_bytes", self.nbytes)
+        outcomes, _ = step_sessions(self.cache, [(self._session, data)])
+        return outcomes[0]

@@ -59,10 +59,11 @@ class TrackerConfig:
     µV waveforms, in which case ``area_threshold`` must be chosen for
     the input's own amplitude scale.
 
-    ``engine`` selects how the area scan executes: ``"scalar"`` is the
-    reference per-candidate Python loop, ``"plane"`` compiles the
-    loaded set once and evaluates each step as one batched reduction
-    (:class:`repro.edge.plane.TrackingPlane`) — bit-identical results,
+    ``engine`` selects how the area scan executes: ``"plane"`` (the
+    default) compiles each adopted slice once and evaluates a whole
+    step in one kernel call
+    (:class:`repro.edge.plane.CompiledTrackingEngine`), ``"scalar"`` is
+    the reference per-candidate Python loop — bit-identical results,
     different cost.
     """
 
@@ -70,7 +71,7 @@ class TrackerConfig:
     frame_samples: int = FRAME_SAMPLES
     reference_rms: float | None = TRACKING_REFERENCE_RMS
     offset_stride: int = 4
-    engine: str = "scalar"
+    engine: str = "plane"
 
     def __post_init__(self) -> None:
         if self.area_threshold <= 0:
@@ -94,6 +95,27 @@ class TrackerConfig:
                 f"unknown tracking engine {self.engine!r}; "
                 f"expected one of {TRACKING_ENGINES}"
             )
+
+
+def check_frame(
+    frame: Frame | np.ndarray, frame_samples: int, context: str = ""
+) -> np.ndarray:
+    """A tracking frame as a float64 vector, or :class:`TrackingError`.
+
+    Rejects a wrong shape and any NaN/inf sample: a non-finite area
+    compares False against δ_A, so one bad sample would otherwise keep
+    every candidate alive with ``last_area = nan`` and reset its offset.
+    ``context`` is appended to the message (e.g. the session id).
+    """
+    data = frame.data if isinstance(frame, Frame) else np.asarray(frame, dtype=np.float64)
+    if data.ndim != 1 or data.size != frame_samples:
+        raise TrackingError(
+            f"tracking frame must be 1-D with {frame_samples} "
+            f"samples, got shape {data.shape}{context}"
+        )
+    if not np.isfinite(data).all():
+        raise TrackingError(f"tracking frame holds non-finite samples{context}")
+    return data
 
 
 @dataclass
@@ -149,7 +171,7 @@ class TrackingEngine(Protocol):
     :class:`SignalTracker` orchestrates validation, iteration counting
     and metrics around them.  Satisfied by
     :class:`ScalarTrackingEngine` and
-    :class:`repro.edge.plane.TrackingPlane`.
+    :class:`repro.edge.plane.CompiledTrackingEngine`.
     """
 
     def load(self, signals: Sequence[TrackedSignal]) -> None:
@@ -164,7 +186,7 @@ class ScalarTrackingEngine:
 
     Every step rebuilds each slice's window statistics from scratch via
     :func:`~repro.signals.metrics.sliding_area_normalized`; the
-    compiled plane exists precisely to amortise that work, and is held
+    compiled path exists precisely to amortise that work, and is held
     to this engine's outputs bit for bit.
     """
 
@@ -227,9 +249,9 @@ class SignalTracker:
     def _build_engine(self) -> TrackingEngine:
         if self.config.engine == "plane":
             # Imported lazily: plane.py depends on this module.
-            from repro.edge.plane import TrackingPlane
+            from repro.edge.plane import CompiledTrackingEngine
 
-            return TrackingPlane(self.config)
+            return CompiledTrackingEngine(self.config)
         return ScalarTrackingEngine(self.config)
 
     # -- set management ------------------------------------------------
@@ -283,14 +305,11 @@ class SignalTracker:
         For every tracked signal, scan the slice for the window with the
         minimum area against the frame; remove the signal when that
         minimum exceeds δ_A, otherwise advance its offset to the best
-        window.
+        window.  A frame of the wrong shape or with a non-finite sample
+        raises :class:`~repro.errors.TrackingError` before any state
+        changes.
         """
-        data = frame.data if isinstance(frame, Frame) else np.asarray(frame, dtype=np.float64)
-        if data.ndim != 1 or data.size != self.config.frame_samples:
-            raise TrackingError(
-                f"tracking frame must be 1-D with {self.config.frame_samples} "
-                f"samples, got shape {data.shape}"
-            )
+        data = check_frame(frame, self.config.frame_samples)
         self._iteration += 1
         tracked_before = len(self._tracked)
         with obs.trace.span("edge.track_step", tracked=tracked_before) as span:

@@ -22,7 +22,7 @@ edge leg: after each successful search a session adopts the result
 into a shared :class:`~repro.edge.fleet.FleetTracker` and runs that
 many tracking iterations.  Concurrent sessions' frames are coalesced
 by :class:`EdgeStepDriver` into single fused fleet steps (the
-slice-major megabatch path), run on a dedicated worker thread so the
+single-call compiled path), run on a dedicated worker thread so the
 event loop never blocks on the kernel.
 """
 
@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence, TypeVar
 import numpy as np
 
 from repro.edge.fleet import FleetTracker
-from repro.edge.tracker import TrackerConfig, TrackingStep
+from repro.edge.tracker import TrackerConfig, TrackingStep, check_frame
 from repro.errors import EMAPError, GatewayError
 from repro.gateway.gateway import GatewayConfig, ServingGateway
 
@@ -240,16 +240,25 @@ class EdgeStepDriver:
         await self._run(self.tracker.close_session, session_id)
 
     async def step(self, session_id: str, frame: np.ndarray) -> TrackingStep:
-        """One tracking iteration, riding the next fused fleet step."""
+        """One tracking iteration, riding the next fused fleet step.
+
+        The frame is validated here, before it is queued: a wrong shape
+        or a non-finite sample fails only this session's request with
+        :class:`~repro.errors.TrackingError`, never the fused step other
+        sessions ride.
+        """
         if self._closed:
             raise GatewayError("edge driver is closed; create a new one")
         if session_id in self._pending:
             raise GatewayError(
                 f"session {session_id!r} already has a frame in flight"
             )
+        data = check_frame(
+            frame, self.tracker.config.frame_samples, f" for session {session_id!r}"
+        )
         loop = asyncio.get_running_loop()
         future: asyncio.Future[TrackingStep] = loop.create_future()
-        self._pending[session_id] = (np.asarray(frame, dtype=np.float64), future)
+        self._pending[session_id] = (data, future)
         if self._wake is None:
             self._wake = asyncio.Event()
         self._wake.set()

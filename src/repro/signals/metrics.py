@@ -230,18 +230,22 @@ def normalized_query(window: np.ndarray, reference_rms: float) -> np.ndarray:
 
     Centres the frame and rescales it to ``reference_rms`` (a frame
     with numerically zero variance is only centred, matching the
-    inline path).
+    inline path).  A 2-D ``window`` is a stack of frames, each row
+    normalised on its own with bitwise the result of a 1-D call: every
+    reduction runs along the contiguous last axis, in numpy's pairwise
+    order either way.
     """
     win = np.asarray(window, dtype=np.float64)
-    if win.ndim != 1:
-        raise SignalError(f"query window must be 1-D, got shape {win.shape}")
-    if win.size == 0:
+    if win.ndim not in (1, 2):
+        raise SignalError(f"query window must be 1-D or 2-D, got shape {win.shape}")
+    if win.shape[-1] == 0:
         raise SignalError("window must not be empty")
     if reference_rms <= 0:
         raise SignalError(f"reference RMS must be positive, got {reference_rms}")
-    centered = win - win.mean()
-    win_rms = float(np.sqrt(np.mean(centered**2)))
-    return centered * (reference_rms / win_rms) if win_rms > NORM_EPSILON else centered
+    centered = win - win.mean(axis=-1, keepdims=True)
+    win_rms = np.sqrt(np.mean(centered**2, axis=-1, keepdims=True))
+    live = win_rms > NORM_EPSILON
+    return np.where(live, centered * (reference_rms / np.where(live, win_rms, 1.0)), centered)
 
 
 def sliding_area(

@@ -145,3 +145,11 @@ class TestCLI:
         with pytest.raises(SystemExit) as excinfo:
             main(["--version"])
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize("command", ["monitor", "obs"])
+    def test_engine_default_follows_tracker_config(self, command):
+        from repro.cli import _build_parser
+        from repro.edge.tracker import TrackerConfig
+
+        args = _build_parser().parse_args([command])
+        assert args.engine == TrackerConfig().engine == "plane"

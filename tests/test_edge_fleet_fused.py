@@ -1,6 +1,6 @@
-"""Churn tests for the fused slice-major fleet step.
+"""Churn tests for the fused one-call fleet step.
 
-The fused planner's contract is that no amount of fleet churn —
+The fused step's contract is that no amount of fleet churn —
 sessions opened and closed between steps, shared compiled slices
 evicted by pruning mid-step, subsets of sessions stepping, empty
 batches — ever produces a ``TrackingStep`` that differs from an
@@ -130,7 +130,7 @@ class TestChurnBitIdentity:
         """Every pair prunes in one step: the shared entries are released
         during commit while other sessions' results from the same fused
         evaluation are still being applied — deferred commit means none
-        of them can read a freed tensor."""
+        of them can read a freed slice."""
         overrides = self._overrides(reference_rms)
         overrides["area_threshold"] = 1e-9  # everything prunes immediately
         pool = _pool(42)
@@ -163,8 +163,8 @@ class TestFusedPlanStats:
         for sid in ("a", "b", "c"):
             fleet.open_session(sid, shared)
         fleet.step({sid: np.zeros(256) for sid in ("a", "b", "c")})
-        # 5 shared slices -> 5 kernel calls for 15 (session, candidate)
-        # pairs, every group carrying all 3 sessions' queries.
+        # 5 shared slices -> 5 groups for 15 (session, candidate) pairs
+        # in one kernel call, every group carrying all 3 sessions.
         assert fleet.last_fused_groups == 5
         assert fleet.last_fused_pairs == 15
         assert fleet.last_fused_max_group == 3

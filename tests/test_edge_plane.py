@@ -1,12 +1,13 @@
-"""Tests for the compiled edge tracking plane and fleet batching.
+"""Tests for the compiled edge tracking path and fleet batching.
 
-Covers the fused area kernel (bitwise against numpy on every backend),
-the plane's compile/compaction mechanics, the short-slice removal
-contract, and the cross-engine equivalence property: the scalar
-tracker, the compiled plane and the fleet must produce bit-identical
-``TrackingStep`` sequences — areas, offsets, removals, evaluation
-counts and anomaly probabilities — over random correlation sets,
-strides and both normalisation modes.
+Covers the one-pair step kernel (bitwise against the scalar oracle on
+every backend), the compiled engine's slice-cache mechanics, the
+short-slice removal and non-finite-frame contracts, and the
+cross-engine equivalence property: the scalar tracker, the compiled
+engine and the fleet must produce bit-identical ``TrackingStep``
+sequences — areas, offsets, removals, evaluation counts and anomaly
+probabilities — over random correlation sets, strides and both
+normalisation modes.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ from hypothesis import strategies as st
 
 from repro.cloud.results import SearchMatch
 from repro.cloud.server import CloudServer
-from repro.edge._kernels import _numpy_row_sums, abs_diff_row_sums, kernel_backend
+from repro.edge._kernels import (
+    _evaluate,
+    compile_slice,
+    evaluate_pairs,
+    kernel_backend,
+)
 from repro.edge.fleet import FleetTracker
-from repro.edge.plane import TrackingPlane, compile_slice_windows
+from repro.edge.plane import CompiledTrackingEngine
 from repro.edge.tracker import (
     ScalarTrackingEngine,
     SignalTracker,
@@ -29,6 +35,7 @@ from repro.edge.tracker import (
 from repro.errors import TrackingError
 from repro.runtime.streaming import StreamingConfig, StreamingMonitor
 from repro.signals.generator import EEGGenerator
+from repro.signals.metrics import normalized_query, sliding_area, sliding_area_normalized
 from repro.signals.types import AnomalyType, SignalSlice
 
 
@@ -96,6 +103,24 @@ def _run_fleet(matches, frames, fused=True, **overrides):
     return keys
 
 
+def _one_pair(data, frame, stride, reference_rms):
+    """Kernel arguments for one (slice, frame) pair."""
+    compiled = compile_slice(data, frame.size, stride, reference_rms)
+    assert compiled is not None
+    if reference_rms is None:
+        query, worst = frame, np.inf
+    else:
+        query = normalized_query(frame, reference_rms)
+        worst = np.abs(query).sum()
+    return (
+        [compiled],
+        np.zeros(1, dtype=np.intp),
+        np.ascontiguousarray(query[None]),
+        np.array([worst]),
+        stride,
+    )
+
+
 class TestAreaKernel:
     def test_backend_is_known(self):
         assert kernel_backend() in ("c", "numpy")
@@ -103,44 +128,54 @@ class TestAreaKernel:
     @pytest.mark.parametrize("m", [1, 7, 64, 100, 131, 256, 1000])
     def test_selected_backend_bitwise_equals_numpy(self, m):
         rng = np.random.default_rng(m)
-        rows = np.ascontiguousarray(rng.standard_normal((13, m)) * 1e3)
-        query = rng.standard_normal(m)
-        expected = np.abs(rows - query).sum(axis=1)
-        np.testing.assert_array_equal(abs_diff_row_sums(rows, query), expected)
+        data = rng.standard_normal(m + 12) * 1e3
+        frame = rng.standard_normal(m)
+        expected = sliding_area_normalized(frame, data, 7.0)
+        areas = np.empty(expected.size)
+        best, best_area = evaluate_pairs(*_one_pair(data, frame, 1, 7.0), areas=areas)
+        np.testing.assert_array_equal(areas, expected)
+        assert best[0] == np.argmin(expected)
+        assert best_area[0] == expected.min()
 
     @pytest.mark.parametrize("m", [1, 7, 256, 1000])
     def test_numpy_fallback_bitwise_equals_numpy(self, m):
         rng = np.random.default_rng(m + 1)
-        rows = np.ascontiguousarray(rng.standard_normal((700, m)))
-        query = rng.standard_normal(m)
-        out = np.empty(rows.shape[0])
-        _numpy_row_sums(rows, query, out)
-        np.testing.assert_array_equal(out, np.abs(rows - query).sum(axis=1))
+        data = rng.standard_normal(m + 699)
+        frame = rng.standard_normal(m)
+        areas = np.empty(700)
+        _evaluate(None, *_one_pair(data, frame, 1, None), areas, 1)
+        np.testing.assert_array_equal(areas, sliding_area(frame, data))
 
     def test_writes_into_out(self):
         rng = np.random.default_rng(0)
-        rows = np.ascontiguousarray(rng.standard_normal((4, 32)))
-        query = rng.standard_normal(32)
-        out = np.empty(4)
-        returned = abs_diff_row_sums(rows, query, out=out)
-        assert returned is out
+        data = rng.standard_normal(35)
+        frame = rng.standard_normal(32)
+        areas = np.full(4, np.nan)
+        evaluate_pairs(*_one_pair(data, frame, 1, None), areas=areas)
+        np.testing.assert_array_equal(areas, sliding_area(frame, data))
 
     def test_empty_rows_ok(self):
-        out = abs_diff_row_sums(np.empty((0, 16)), np.zeros(16))
-        assert out.shape == (0,)
+        best, best_area = evaluate_pairs(
+            [], np.empty(0, dtype=np.intp), np.zeros((1, 16)), np.zeros(1), 1
+        )
+        assert best.shape == best_area.shape == (0,)
 
     def test_rejects_bad_shapes(self):
+        rng = np.random.default_rng(1)
+        args = _one_pair(rng.standard_normal(20), rng.standard_normal(8), 1, None)
+        slices, pair_query, queries, worsts, stride = args
         with pytest.raises(ValueError, match="2-D"):
-            abs_diff_row_sums(np.zeros(8), np.zeros(8))
-        with pytest.raises(ValueError, match="match row length"):
-            abs_diff_row_sums(np.zeros((2, 8)), np.zeros(4))
+            evaluate_pairs(slices, pair_query, queries[0], worsts, stride)
         with pytest.raises(ValueError, match="match"):
-            abs_diff_row_sums(np.zeros((2, 8)), np.zeros(8), out=np.empty(3))
+            evaluate_pairs(slices, pair_query, queries, np.zeros(2), stride)
+        with pytest.raises(ValueError, match="match"):
+            evaluate_pairs(*args, areas=np.empty(3))
         with pytest.raises(ValueError, match="contiguous"):
-            abs_diff_row_sums(np.zeros((4, 16))[:, ::2], np.zeros(8))
+            evaluate_pairs(slices, pair_query, queries, worsts, stride,
+                           areas=np.empty(26)[::2])
         with pytest.raises(ValueError, match="float64"):
-            abs_diff_row_sums(
-                np.zeros((2, 8), dtype=np.float32), np.zeros(8, dtype=np.float32)
+            evaluate_pairs(
+                slices, pair_query, queries.astype(np.float32), worsts, stride
             )
 
 
@@ -155,17 +190,20 @@ class TestTrackerConfigEngine:
             ScalarTrackingEngine,
         )
         assert isinstance(
-            SignalTracker(TrackerConfig(engine="plane")).engine, TrackingPlane
+            SignalTracker(TrackerConfig(engine="plane")).engine,
+            CompiledTrackingEngine,
         )
+        # The compiled engine is the default.
+        assert isinstance(SignalTracker().engine, CompiledTrackingEngine)
 
     def test_explicit_engine_instance_wins(self):
-        config = TrackerConfig()
-        plane = TrackingPlane(config)
+        config = TrackerConfig(engine="scalar")
+        plane = CompiledTrackingEngine(config)
         assert SignalTracker(config, engine=plane).engine is plane
 
 
 class TestShortSliceRemoval:
-    """Satellite: short slices are retired with a *defined* last_area."""
+    """Short slices are retired with a *defined* last_area."""
 
     @pytest.mark.parametrize("engine", ["scalar", "plane"])
     def test_short_slice_removed_with_inf_area(self, engine):
@@ -195,71 +233,94 @@ class TestShortSliceRemoval:
 
 class TestCompiledSliceWindows:
     def test_short_slice_compiles_to_none(self):
-        assert compile_slice_windows(np.ones(10), 256, 4, 7.0) is None
+        assert compile_slice(np.ones(10), 256, 4, 7.0) is None
 
     def test_raw_mode_windows_match_strided_view(self):
         rng = np.random.default_rng(5)
         data = rng.standard_normal(500)
-        compiled = compile_slice_windows(data, 256, 4, None)
+        compiled = compile_slice(data, 256, 4, None)
         assert compiled is not None
-        expected = np.stack(
-            [data[k * 4 : k * 4 + 256] for k in range(compiled.n_offsets)]
-        )
-        np.testing.assert_array_equal(compiled.windows, expected)
+        assert compiled.n_offsets == (500 - 256) // 4 + 1
+        # Raw mode: the windows are the strided view itself (μ 0, s 1).
+        np.testing.assert_array_equal(compiled.samples, data)
+        assert not compiled.means.any()
+        assert (compiled.scales == 1.0).all()
         assert not compiled.flat.any()
+        # Stats only: no (offsets × frame) window matrix is stored.
+        assert compiled.nbytes == (data.size + 3 * compiled.n_offsets) * 8
+        assert compiled.n_samples == data.size
 
 
 class TestTrackingPlaneMechanics:
     def test_load_compiles_once(self):
-        plane = TrackingPlane(TrackerConfig())
-        tracker = SignalTracker(TrackerConfig(engine="plane"), engine=plane)
+        plane = CompiledTrackingEngine(TrackerConfig())
+        tracker = SignalTracker(TrackerConfig(), engine=plane)
         matches = _random_matches(0, n=12)
         tracker.load(matches)
-        assert plane.compiles == 1
-        assert plane.compiled_candidates == 12
-        assert plane.alive_count == 12
-        assert plane.nbytes > 0
-        assert plane.kernel in ("c", "numpy")
+        assert plane.cache.misses == 12
+        assert plane.cache.unique_slices == 12
+        assert plane.cache.compiled_bytes > 0
         for frame in _frames(0, 3):
             tracker.step(frame)
-        assert plane.compiles == 1  # steps never recompile
-
-    def test_mass_removal_triggers_compaction(self):
-        plane = TrackingPlane(TrackerConfig(area_threshold=1e-6))
-        tracker = SignalTracker(
-            TrackerConfig(engine="plane", area_threshold=1e-6), engine=plane
+        assert plane.cache.misses == 12  # steps never recompile
+        # Readopting the survivors recompiles nothing.
+        tracker.load(
+            [SearchMatch(sig_slice=s.sig_slice, omega=s.omega, offset=s.offset)
+             for s in tracker.tracked]
         )
+        assert plane.cache.misses == 12
+        assert plane.cache.tracked_references == tracker.tracked_count
+
+    def test_mass_removal_releases_every_entry(self):
+        config = TrackerConfig(area_threshold=1e-6)
+        plane = CompiledTrackingEngine(config)
+        tracker = SignalTracker(config, engine=plane)
         tracker.load(_random_matches(1, n=10, short_every=0, flat_every=0))
         step = tracker.step(_frames(1, 1)[0])
         assert step.removed == 10
-        assert plane.compactions == 1
-        assert plane.compiled_candidates == 0
-        # Further steps on the emptied plane are harmless no-ops.
+        assert plane.cache.unique_slices == 0
+        # Further steps on the emptied engine are harmless no-ops.
         empty = tracker.step(_frames(1, 2)[1])
         assert empty.tracked_before == 0
         assert empty.area_evaluations == 0
 
-    def test_partial_removal_keeps_tensor_until_threshold(self):
-        matches = _random_matches(2, n=8, short_every=0, flat_every=0)
-        # Plant one candidate whose best area is enormous: scale it away
-        # from the reference shape by zeroing (raw mode keeps scale).
-        config = TrackerConfig(
-            engine="plane", reference_rms=None, area_threshold=1e4
-        )
-        plane = TrackingPlane(config)
-        tracker = SignalTracker(config, engine=plane)
+
+class TestNonFiniteFrames:
+    """Regression: a NaN/inf sample used to keep every candidate alive
+    with ``last_area = nan`` and reset its offset to 0."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("engine", ["scalar", "plane"])
+    def test_signal_tracker_rejects_before_any_state_change(self, engine, bad):
+        matches = _random_matches(30, n=6, short_every=0)
+        tracker = SignalTracker(TrackerConfig(engine=engine, area_threshold=1e9))
         tracker.load(matches)
-        frame = matches[0].sig_slice.data[:256]
-        step = tracker.step(frame)
-        # The self-matching candidate survives with area exactly 0.
-        assert tracker.tracked_count >= 1
-        assert step.removed + tracker.tracked_count == 8
-        if tracker.tracked_count >= 4:
-            assert plane.compactions == 0
+        tracker.step(_frames(30, 1)[0])
+        before = [(s.offset, s.last_area) for s in tracker.tracked]
+        frame = _frames(31, 1)[0]
+        frame[17] = bad
+        with pytest.raises(TrackingError, match="non-finite"):
+            tracker.step(frame)
+        assert tracker.iteration == 1
+        assert [(s.offset, s.last_area) for s in tracker.tracked] == before
+
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_fleet_rejects_before_any_session_steps(self, fused):
+        matches = _random_matches(32, n=6, short_every=0)
+        fleet = FleetTracker(TrackerConfig(area_threshold=1e9), fused=fused)
+        fleet.open_session("a", matches)
+        fleet.open_session("b", matches)
+        frame = _frames(32, 1)[0]
+        bad = frame.copy()
+        bad[0] = np.nan
+        with pytest.raises(TrackingError, match="non-finite.*'b'"):
+            fleet.step({"a": frame, "b": bad})
+        assert all(s.last_area == float("inf") for s in fleet.tracked("a"))
+        assert fleet.step({"a": frame})["a"].iteration == 1
 
 
 class TestEngineEquivalence:
-    """Satellite: bit-identical TrackingStep sequences across engines."""
+    """Bit-identical TrackingStep sequences across engines."""
 
     @given(
         seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -391,7 +452,7 @@ class TestFleetMechanics:
         # The stale handles' refs are 0; releasing them again must not
         # underflow or evict the freshly re-registered entry.
         for entry in stale:
-            fleet._release(entry)
+            fleet._cache.release(entry)
         assert fleet.unique_slices == 1
         assert fleet.tracked_references == 1
         # The re-registered session still steps cleanly.

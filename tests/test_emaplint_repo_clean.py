@@ -44,10 +44,10 @@ SUPPRESSION_ALLOWLIST = {
 #: join the list because a swallowed exception in the coarse screen
 #: would silently degrade to wrong prune decisions instead of failing
 #: loudly — pruning bugs must never hide.
-#: The edge kernel and fleet planner join for the same reason: a
-#: swallowed exception in backend selection or the fused step would
-#: silently degrade to the slow fallback (or worse, commit a partial
-#: megabatch) instead of failing loudly — the failure modes the
+#: The edge kernel, the compiled step and the fleet join for the same
+#: reason: a swallowed exception in backend selection or the fused
+#: step would silently degrade to the slow fallback (or worse, commit
+#: a partial step) instead of failing loudly — the failure modes the
 #: explicit ``KernelError`` / deferred-commit design exists to surface.
 EM006_NEVER_SUPPRESS = (
     "src/repro/faults/",
@@ -56,6 +56,7 @@ EM006_NEVER_SUPPRESS = (
     "src/repro/cloud/search.py",
     "src/repro/edge/_kernels.py",
     "src/repro/edge/fleet.py",
+    "src/repro/edge/plane.py",
     "src/repro/gateway/",
 )
 

@@ -560,6 +560,43 @@ class TestEdgeStepDriver:
         assert all(isinstance(result, TrackingError) for result in results)
         assert step.iteration == 1  # the failed batch never advanced "a"
 
+    def test_bad_frame_fails_only_its_own_session(self):
+        """A malformed or non-finite frame fails its own request before it
+        is queued; the sessions it would have been batched with get
+        exactly what a solo step returns."""
+        matches = _edge_matches(36, n=4)
+        config = TrackerConfig(area_threshold=1e9)
+        rng = np.random.default_rng(36)
+        good = {f"s{i}": rng.standard_normal(256) for i in range(3)}
+        nan_frame = rng.standard_normal(256)
+        nan_frame[5] = np.nan
+
+        async def scenario():
+            driver = EdgeStepDriver(config)
+            for session_id in [*good, "short", "nan"]:
+                await driver.adopt(session_id, matches)
+            results = await asyncio.gather(
+                *(driver.step(sid, frame) for sid, frame in good.items()),
+                driver.step("short", np.zeros(13)),
+                driver.step("nan", nan_frame),
+                return_exceptions=True,
+            )
+            tracked = {sid: driver.tracker.tracked(sid) for sid in good}
+            await driver.aclose()
+            return results, tracked
+
+        results, tracked = asyncio.run(scenario())
+        *steps, short, nan = results
+        assert isinstance(short, TrackingError) and "256 samples" in str(short)
+        assert isinstance(nan, TrackingError) and "non-finite" in str(nan)
+        for (session_id, frame), step in zip(good.items(), steps):
+            solo = FleetTracker(config)
+            solo.open_session(session_id, matches)
+            expected = solo.step({session_id: frame})[session_id]
+            assert _edge_step_key(step, tracked[session_id]) == _edge_step_key(
+                expected, solo.tracked(session_id)
+            )
+
     def test_fleet_edge_leg_counts_and_report(self):
         slices = _random_slices(34, n=10)
         frames = build_frame_pool(slices, n_frames=6, seed=34)

@@ -12,6 +12,7 @@ from repro.signals.metrics import (
     cross_correlation,
     mean_absolute_deviation,
     normalized_cross_correlation,
+    normalized_query,
     sliding_area,
     sliding_area_normalized,
     sliding_normalized_correlation,
@@ -198,3 +199,30 @@ class TestSlidingAreaNormalized:
     def test_rejects_bad_reference(self):
         with pytest.raises(SignalError, match="reference RMS"):
             sliding_area_normalized(np.ones(4), np.ones(8), reference_rms=0.0)
+
+
+class TestNormalizedQueryRows:
+    """A 2-D stack normalises each row exactly as a 1-D call would."""
+
+    @given(
+        m=st.integers(min_value=1, max_value=300),
+        rows=st.integers(min_value=1, max_value=6),
+        magnitude=st.sampled_from([1e-3, 1.0, 7.0, 1e3, 1e6]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_bitwise_equal_one_dimensional_calls(self, m, rows, magnitude, seed):
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((rows, m)) * magnitude + rng.choice([0.0, 1e3])
+        frames[0] = 2.5  # a zero-variance row is only centred
+        stacked = normalized_query(frames, 7.0)
+        for index in range(rows):
+            np.testing.assert_array_equal(
+                stacked[index], normalized_query(frames[index], 7.0)
+            )
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(SignalError, match="1-D or 2-D"):
+            normalized_query(np.zeros((2, 2, 2)), 7.0)
+        with pytest.raises(SignalError, match="empty"):
+            normalized_query(np.zeros((3, 0)), 7.0)

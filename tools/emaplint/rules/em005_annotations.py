@@ -14,9 +14,9 @@ scope deliberately covers the compiled tracking plane and fleet
 batcher (``repro/edge/plane.py``, ``repro/edge/fleet.py``, and the
 ``repro/edge/_kernels.py`` public surface) — the per-step reduction is
 the hottest loop on the device, so its boundary types must stay
-exact; that now includes the multi-query ``abs_diff_rect_sums``
-rectangle and the fused fleet planner, where a loose boundary type
-would let a mis-shaped megabatch reach the threaded C kernel.  The
+exact; that includes the one-call ``evaluate_pairs`` step kernel and
+the shared ``step_sessions`` planner, where a loose boundary type
+would let a mis-shaped pair table reach the threaded C kernel.  The
 gateway scope covers the async serving surface
 (``submit``/``handle_batch``, the fleet/soak drivers and the edge
 step driver coalescing sessions into fused fleet steps), where an
