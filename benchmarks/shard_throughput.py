@@ -105,7 +105,7 @@ def run_shard_throughput(
     mono = ShardedSearchPlane(mdb, shard_slices=len(mdb) + n_inserts)
     sharded = ShardedSearchPlane(mdb, shard_slices=shard_slices)
     config = SearchConfig(frame_samples=frame_samples)
-    engine = SlidingWindowSearch(config, precompute=True)
+    engine = SlidingWindowSearch(config)
     recording = EEGGenerator(seed=seed).record(float(n_inserts + 2))
     rng = np.random.default_rng(seed)
 

@@ -79,10 +79,9 @@ def run_two_stage(
         filtered_frame(recording, second) for second in range(1, n_queries + 1)
     ]
     plane = ShardedSearchPlane(fixture.mdb, shard_slices=len(fixture.mdb))
-    single = SlidingWindowSearch(SearchConfig(), precompute=True)
+    single = SlidingWindowSearch(SearchConfig())
     fast = SlidingWindowSearch(
-        SearchConfig(two_stage="fast", coarse_keep_fraction=keep_fraction),
-        precompute=True,
+        SearchConfig(two_stage="fast", coarse_keep_fraction=keep_fraction)
     )
 
     def timed(engine):

@@ -251,7 +251,7 @@ class ParallelSearch:
         self.plane = plane
         self.pool_builds = 0
         self.pool_reuses = 0
-        self._engine = CorrelationSearch(self.config, self.policy, precompute=True)
+        self._engine = CorrelationSearch(self.config, self.policy)
         self._owns_plane = False
         self._adhoc_source_id: int | None = None
         self._pool: ProcessPoolExecutor | None = None

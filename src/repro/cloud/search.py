@@ -40,7 +40,7 @@ from repro.cloud.results import SearchMatch, SearchResult
 from repro.cloud.shards import ShardEpoch, ShardedSearchPlane
 from repro.errors import SearchError
 from repro.obs.tracing import Span
-from repro.signals.types import FRAME_SAMPLES, SignalSlice
+from repro.signals.types import FRAME_SAMPLES, SignalSlice, real_samples
 from repro.signals.windows import WindowedStats
 
 T = TypeVar("T")
@@ -128,6 +128,10 @@ class SkipPolicy(Protocol):
 
     def skip(self, omega: float) -> int:
         """Samples to advance given the (clamped) correlation ω."""
+        ...
+
+    def skip_table(self, omegas: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`skip`: ``skip(ω_i)`` for every element."""
         ...
 
 
@@ -272,11 +276,10 @@ def replay_skip_walk(
     """Algorithm 1's window walk over one slice.
 
     ``evaluate(offset)`` returns the normalised correlation at one
-    offset — either a scalar evaluator or indexing into a precomputed
-    correlation array; the admitted ``(omega, offset)`` hits and the
-    evaluation counts are identical either way, which is what keeps
-    every execution mode (scalar, precompute, plane, pooled workers)
-    bit-identical.
+    offset (the scalar oracle passes a :class:`ScalarWindowEvaluator`).
+    :class:`PlaneWalker` replays the same trajectory over a compiled
+    plane, so the admitted ``(omega, offset)`` hits and the evaluation
+    counts are the reference every compiled search is checked against.
 
     Returns ``(hits, evaluated, above_threshold)``.
     """
@@ -309,8 +312,8 @@ class PlaneWalker:
 
     Construction does all per-query vectorised work in bulk: the
     per-slice dot products, one normalisation pass over the
-    concatenated correlation array, and (for policies exposing
-    ``skip_table``) a successor table ``nxt[o] = o + skip(ω_o)``.
+    concatenated correlation array, and (for non-fixed-step policies)
+    a successor table ``nxt[o] = o + skip(ω_o)``.
     :meth:`walk_all` then runs every slice's walk level-synchronously —
     one vectorised gather advances all still-walking slices a hop per
     round — and classifies the visited offsets against the threshold
@@ -406,27 +409,24 @@ class PlaneWalker:
             # clip(x, -1, 1) then max(·, 0) — Algorithm 1 lines 9-11 —
             # collapses to one clip into [0, 1].
             self._clamped = np.clip(values, 0.0, 1.0, out=values)
-        self._nxt = None
+        self._nxt: np.ndarray | None = None
 
     @property
     def total_positions(self) -> int:
         """Size of this walker's concatenated correlation layout."""
         return int(self._clamped.size)
 
-    def _ensure_successors(self) -> np.ndarray | None:
+    def _ensure_successors(self) -> np.ndarray:
         """Build (once) ``nxt[o] = o + skip(ω_o)`` over the layout.
 
         Only the single-query walk materialises the table; the joint
         multi-query walk evaluates skips lazily per round instead, so
-        batched queries never pay this full-layout pass.  Returns
-        ``None`` for policies without a vectorised ``skip_table``.
+        batched queries never pay this full-layout pass.
         """
-        if self._nxt is None and self._step is None:
-            table = getattr(self._policy, "skip_table", None)
-            if table is not None:
-                nxt = table(self._clamped)
-                nxt += np.arange(self.total_positions, dtype=np.int64)
-                self._nxt = nxt
+        if self._nxt is None:
+            nxt = self._policy.skip_table(self._clamped)
+            nxt += np.arange(self.total_positions, dtype=np.int64)
+            self._nxt = nxt
         return self._nxt
 
     def walk_all(self) -> tuple[list[tuple[int, float, int]], int, int]:
@@ -440,8 +440,6 @@ class PlaneWalker:
         """
         if self._step is not None:
             return self._walk_all_strided()
-        if self._ensure_successors() is None:  # no vectorised skip table
-            return self._walk_all_replay()
         return self.classify_visited(self._visit_positions())
 
     def _visit_positions(self) -> np.ndarray:
@@ -459,7 +457,7 @@ class PlaneWalker:
         live = starts < self._stops
         pos = starts[live]
         stop = self._stops[live]
-        nxt = self._nxt
+        nxt = self._ensure_successors()
         buf: list[np.ndarray] = []
         while pos.size > self._STRAGGLER_CUTOFF:
             buf.append(pos)
@@ -572,32 +570,6 @@ class PlaneWalker:
                 )
         return hits, evaluated, above
 
-    def _walk_all_replay(self) -> tuple[list[tuple[int, float, int]], int, int]:
-        """Per-slice scalar replay for policies without a skip table."""
-        hits: list[tuple[int, float, int]] = []
-        evaluated = 0
-        above = 0
-        for row in range(self._ids.size):
-            start = int(self._starts[row])
-            stop = int(self._stops[row])
-            if stop <= start:
-                continue
-            segment = self._clamped[start:stop]
-            slice_hits, n_evaluated, n_above = replay_skip_walk(
-                segment.__getitem__,
-                stop - start - 1,
-                self._policy,
-                self._delta,
-                self._dedupe,
-            )
-            evaluated += n_evaluated
-            above += n_above
-            index = int(self._ids[row])
-            hits.extend(
-                (index, omega, offset) for omega, offset in slice_hits
-            )
-        return hits, evaluated, above
-
 
 #: Stacked-layout size (positions) beyond which the joint multi-query
 #: walk loses its cache locality — each round's gather then touches a
@@ -628,14 +600,11 @@ def _joint_visit(walkers: Sequence[PlaneWalker]) -> list[np.ndarray]:
     offset, and ``skip_table`` applied to any subset of ω values is the
     same elementwise IEEE-754 computation.
 
-    Every walker must share one policy exposing ``skip_table`` (the
-    caller routes fixed-step and table-less policies to the per-query
-    paths instead).
+    Every walker must share one policy (the caller routes fixed-step
+    policies to the per-query strided walk instead).
     """
     policy = walkers[0]._policy
-    table = getattr(policy, "skip_table", None)
-    if table is None:
-        raise SearchError("joint walk needs a policy with a skip table")
+    table = policy.skip_table
     bases: list[int] = []
     starts_parts: list[np.ndarray] = []
     stops_parts: list[np.ndarray] = []
@@ -765,7 +734,6 @@ def walk_cores(
         and sum(walker.total_positions for walker in walkers)
         <= _JOINT_POSITION_BUDGET
         and getattr(policy, "step", None) is None
-        and getattr(policy, "skip_table", None) is not None
     ):
         visited = _joint_visit(walkers)
         walked = [
@@ -831,40 +799,39 @@ class ScalarWindowEvaluator:
 class CorrelationSearch:
     """Scans signal-sets for windows correlated with an input frame.
 
-    ``precompute=True`` evaluates each slice's full correlation array
-    vectorised and then replays the skip-policy walk over it: the
-    admitted matches and the ``correlations_evaluated`` statistic (the
-    algorithmic cost that drives the timing model) are identical to the
-    per-offset scalar mode; only the host wall-clock changes.  The
-    closed-loop framework uses precompute mode for throughput; the
-    Fig. 7(b) exploration-time benches use scalar mode, where
-    wall-clock honestly tracks the number of correlations a device
-    would evaluate.
+    Two modes, chosen by what :meth:`search` is given:
 
-    Passing a :class:`~repro.cloud.shards.ShardedSearchPlane` instead
-    of a slice iterable reuses the plane's compiled arrays and cached
-    window norms, amortising all query-independent work across
-    requests while replaying the same walk.
+    * a plain iterable of signal-sets runs the **scalar oracle** — one
+      O(1) windowed correlation per visited offset
+      (:class:`ScalarWindowEvaluator` + :func:`replay_skip_walk`).  It
+      is the reference every compiled search is checked against, and
+      the Fig. 7(b) exploration-time benches use it because its
+      wall-clock honestly tracks the number of correlations a device
+      would evaluate;
+    * a compiled :class:`~repro.cloud.shards.ShardedSearchPlane` (a
+      one-shard plane is the monolithic case) reuses the plane's
+      compiled arrays and cached window norms, amortising all
+      query-independent work across requests while replaying the same
+      walk.  Every production and experiment path searches a plane.
+
+    The admitted matches and the ``correlations_evaluated`` statistic
+    (the algorithmic cost that drives the timing model) are identical
+    in both modes; only the host wall-clock differs.
     """
 
-    def __init__(
-        self,
-        config: SearchConfig,
-        policy: SkipPolicy,
-        precompute: bool = False,
-    ) -> None:
+    def __init__(self, config: SearchConfig, policy: SkipPolicy) -> None:
         self.config = config
         self.policy = policy
-        self.precompute = precompute
 
     def prepare_query(self, frame: np.ndarray) -> tuple[np.ndarray, float]:
         """Validate and centre the query frame; returns (centred, norm).
 
-        Raises :class:`~repro.errors.SearchError` for a frame of the
-        wrong shape or one holding NaN/inf samples.  A flat frame is
-        valid: its norm is 0 and it correlates with nothing.
+        Raises :class:`~repro.errors.SearchError` for a non-real
+        frame, one of the wrong shape or one holding NaN/inf samples.
+        A flat frame is valid: its norm is 0 and it correlates with
+        nothing.
         """
-        query = np.asarray(frame, dtype=np.float64)
+        query = real_samples(frame, SearchError, "input frame")
         if query.ndim != 1:
             raise SearchError(f"input frame must be 1-D, got shape {query.shape}")
         if query.size != self.config.frame_samples:
@@ -945,9 +912,6 @@ class CorrelationSearch:
         :class:`SearchResult` is bit-identical to :meth:`search` over
         the same frame: identical matches, offsets, ω values and
         statistics.
-
-        Policies without a successor table (no ``step``/``skip_table``)
-        fall back to independent per-query walks.
         """
         if not frames:
             return []
@@ -1051,15 +1015,9 @@ class CorrelationSearch:
         length = self.config.frame_samples
         if len(sig_slice) < length:
             return []
-        last_offset = len(sig_slice) - length
-        if self.precompute:
-            correlations = _full_correlations(centered, norm, sig_slice.data)
-            evaluate = correlations.__getitem__
-        else:
-            evaluate = ScalarWindowEvaluator(sig_slice.data, centered, norm)
         hits, evaluated, above = replay_skip_walk(
-            evaluate,
-            last_offset,
+            ScalarWindowEvaluator(sig_slice.data, centered, norm),
+            len(sig_slice) - length,
             self.policy,
             self.config.delta,
             self.config.dedupe_per_slice,
@@ -1072,38 +1030,10 @@ class CorrelationSearch:
         ]
 
 
-def _full_correlations(
-    centered: np.ndarray, norm: float, series: np.ndarray
-) -> np.ndarray:
-    """Normalised correlation of a precentred query at every offset.
-
-    Vectorised prefix-sum implementation identical in output to
-    :meth:`WindowedStats.normalized_correlation_with` over all offsets.
-    """
-    m = centered.size
-    n_offsets = series.size - m + 1
-    if norm < 1e-12:
-        return np.zeros(n_offsets)
-    prefix = np.concatenate(([0.0], np.cumsum(series)))
-    prefix_sq = np.concatenate(([0.0], np.cumsum(series * series)))
-    sums = prefix[m:] - prefix[:-m]
-    sq_sums = prefix_sq[m:] - prefix_sq[:-m]
-    centered_norms = np.sqrt(np.maximum(sq_sums - sums * sums / m, 0.0))
-    dots = np.correlate(series, centered, mode="valid")
-    denominator = norm * centered_norms
-    flat = denominator < 1e-12
-    denominator[flat] = 1.0
-    values = dots / denominator
-    values[flat] = 0.0
-    return np.clip(values, -1.0, 1.0)
-
-
 class SlidingWindowSearch(CorrelationSearch):
     """Algorithm 1: the exponential sliding-window search."""
 
-    def __init__(
-        self, config: SearchConfig | None = None, precompute: bool = False
-    ) -> None:
+    def __init__(self, config: SearchConfig | None = None) -> None:
         cfg = config or SearchConfig()
         super().__init__(
             cfg,
@@ -1113,16 +1043,11 @@ class SlidingWindowSearch(CorrelationSearch):
                 omega_floor=cfg.omega_floor,
                 max_skip=cfg.max_skip,
             ),
-            precompute=precompute,
         )
 
 
 class ExhaustiveSearch(CorrelationSearch):
     """The exhaustive baseline: every offset of every signal-set."""
 
-    def __init__(
-        self, config: SearchConfig | None = None, precompute: bool = False
-    ) -> None:
-        super().__init__(
-            config or SearchConfig(), FixedSkipPolicy(1), precompute=precompute
-        )
+    def __init__(self, config: SearchConfig | None = None) -> None:
+        super().__init__(config or SearchConfig(), FixedSkipPolicy(1))

@@ -74,9 +74,7 @@ class CloudServer:
                     "cloud server needs a non-empty signal-set store"
                 )
             self.plane = ShardedSearchPlane(mdb, shard_slices=shard_slices)
-        self.search_engine = search or SlidingWindowSearch(
-            SearchConfig(), precompute=True
-        )
+        self.search_engine = search or SlidingWindowSearch(SearchConfig())
         self.timing = timing or TimingModel()
         self.calls_served = 0
 

@@ -112,7 +112,7 @@ def build_pipeline(config: PipelineConfig | None = None) -> Pipeline:
             n_workers=cfg.search_workers,
         )
     else:
-        search_engine = SlidingWindowSearch(cfg.search, precompute=True)
+        search_engine = SlidingWindowSearch(cfg.search)
     cloud = CloudServer(builder.mdb, search=search_engine, timing=timing)
     framework = EMAPFramework(
         cloud,

@@ -31,7 +31,7 @@ from repro import obs
 from repro.cloud.results import SearchMatch, SearchResult
 from repro.errors import TrackingError
 from repro.signals.metrics import sliding_area, sliding_area_normalized
-from repro.signals.types import FRAME_SAMPLES, Frame, SignalSlice
+from repro.signals.types import FRAME_SAMPLES, Frame, SignalSlice, real_samples
 
 #: Engine names :class:`TrackerConfig.engine` accepts.
 TRACKING_ENGINES = ("scalar", "plane")
@@ -102,12 +102,17 @@ def check_frame(
 ) -> np.ndarray:
     """A tracking frame as a float64 vector, or :class:`TrackingError`.
 
-    Rejects a wrong shape and any NaN/inf sample: a non-finite area
-    compares False against δ_A, so one bad sample would otherwise keep
-    every candidate alive with ``last_area = nan`` and reset its offset.
+    Rejects a non-real dtype, a wrong shape and any NaN/inf sample: a
+    non-finite area compares False against δ_A, so one bad sample would
+    otherwise keep every candidate alive with ``last_area = nan`` and
+    reset its offset.
     ``context`` is appended to the message (e.g. the session id).
     """
-    data = frame.data if isinstance(frame, Frame) else np.asarray(frame, dtype=np.float64)
+    data = (
+        frame.data
+        if isinstance(frame, Frame)
+        else real_samples(frame, TrackingError, f"tracking frame{context}")
+    )
     if data.ndim != 1 or data.size != frame_samples:
         raise TrackingError(
             f"tracking frame must be 1-D with {frame_samples} "

@@ -24,7 +24,7 @@ from repro.eval.experiments.common import (
 from repro.eval.reporting import format_table
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
 from repro.signals.generator import EEGGenerator
-from repro.signals.types import AnomalyType, SignalSlice
+from repro.signals.types import AnomalyType
 
 
 @dataclass
@@ -85,34 +85,29 @@ def run(
 ) -> SearchQualityResult:
     """Search with both engines for every input; collect top-set quality.
 
-    ``two_stage`` runs the Algorithm-1 arm through the coarse-then-exact
-    screen over the compiled plane, so the same quality gap that gates
-    the paper's sliding window also gates the fast pruning mode.
+    Both engines search one compiled one-shard plane.  ``two_stage``
+    runs the Algorithm-1 arm through the coarse-then-exact screen, so
+    the same quality gap that gates the paper's sliding window also
+    gates the fast pruning mode.
     """
     if n_inputs_per_class < 1:
         raise EMAPError(
             f"need at least one input per class, got {n_inputs_per_class}"
         )
     fix = fixture or build_fixture()
-    exhaustive = ExhaustiveSearch(SearchConfig(), precompute=True)
-    algorithm1 = SlidingWindowSearch(
-        SearchConfig(two_stage=two_stage), precompute=True
-    )
-    store: ShardedSearchPlane | list[SignalSlice] = (
-        ShardedSearchPlane(fix.slices, shard_slices=len(fix.slices))
-        if two_stage != "off"
-        else fix.slices
-    )
+    exhaustive = ExhaustiveSearch(SearchConfig())
+    algorithm1 = SlidingWindowSearch(SearchConfig(two_stage=two_stage))
+    plane = ShardedSearchPlane(fix.slices, shard_slices=len(fix.slices))
     result = SearchQualityResult()
 
     for index in range(n_inputs_per_class):
         normal = EEGGenerator(seed=seed * 7919 + index).record(2.0)
         frame = filtered_frame(normal, 1)
         result.normal_exhaustive.append(
-            exhaustive.search(frame, fix.slices).mean_omega
+            exhaustive.search(frame, plane).mean_omega
         )
         result.normal_algorithm1.append(
-            algorithm1.search(frame, store).mean_omega
+            algorithm1.search(frame, plane).mean_omega
         )
 
     spec = AnomalySpec(kind=AnomalyType.SEIZURE, onset_s=3.0, buildup_s=2.0)
@@ -122,9 +117,9 @@ def run(
         )
         frame = filtered_frame(patient, 5)  # ictal window
         result.anomalous_exhaustive.append(
-            exhaustive.search(frame, fix.slices).mean_omega
+            exhaustive.search(frame, plane).mean_omega
         )
         result.anomalous_algorithm1.append(
-            algorithm1.search(frame, store).mean_omega
+            algorithm1.search(frame, plane).mean_omega
         )
     return result

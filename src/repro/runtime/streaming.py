@@ -36,7 +36,12 @@ if TYPE_CHECKING:  # avoid a circular import with repro.cloud.server
 from repro.edge.predictor import AnomalyPredictor, PredictorConfig
 from repro.edge.tracker import SignalTracker, TrackerConfig
 from repro.signals.filters import FilterSpec, StreamingFIRFilter
-from repro.signals.types import BASE_SAMPLE_RATE_HZ, FRAME_SAMPLES, Frame
+from repro.signals.types import (
+    BASE_SAMPLE_RATE_HZ,
+    FRAME_SAMPLES,
+    Frame,
+    real_samples,
+)
 
 
 @dataclass(frozen=True)
@@ -131,7 +136,7 @@ class StreamingMonitor:
     def push(self, samples: np.ndarray) -> list[MonitorUpdate]:
         """Feed raw (unfiltered) samples; returns updates for every
         frame the chunk completed."""
-        chunk = np.asarray(samples, dtype=np.float64)
+        chunk = real_samples(samples, SignalError, "sample chunk")
         if chunk.ndim != 1:
             raise SignalError(f"sample chunk must be 1-D, got shape {chunk.shape}")
         if chunk.size == 0:

@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.errors import SignalError
+from repro.errors import EMAPError, SignalError
 
 #: Base sampling rate every MDB signal is resampled to (Section V-A).
 BASE_SAMPLE_RATE_HZ = 256.0
@@ -66,9 +66,24 @@ ANOMALY_TYPES = (
 )
 
 
+def real_samples(
+    data: object, error: type[EMAPError], what: str
+) -> np.ndarray:
+    """``data`` as a float64 array, or ``error`` if it is not real-valued.
+
+    A plain float64 cast would silently drop a complex input's imaginary
+    part and parse a string array as numbers, so any dtype other than
+    bool, integer or float is rejected before casting.
+    """
+    array = np.asarray(data)
+    if array.dtype.kind not in "biuf":
+        raise error(f"{what} must hold real numbers, got dtype {array.dtype}")
+    return array.astype(np.float64, copy=False)
+
+
 def _as_signal_array(data: np.ndarray | list[float]) -> np.ndarray:
     """Coerce raw input into a validated 1-D float64 sample array."""
-    array = np.asarray(data, dtype=np.float64)
+    array = real_samples(data, SignalError, "signal data")
     if array.ndim != 1:
         raise SignalError(f"signal data must be 1-D, got shape {array.shape}")
     if array.size == 0:

@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.cloud.shards import ShardedSearchPlane
 from repro.datasets.registry import scaled_registry
 from repro.mdb.builder import MDBBuilder
 from repro.signals.anomalies import AnomalySpec, make_anomalous_signal
@@ -53,6 +54,13 @@ def small_mdb():
 def mdb_slices(small_mdb):
     """The small MDB's slices as a plain list (search-engine input)."""
     return list(small_mdb.slices())
+
+
+@pytest.fixture(scope="session")
+def mdb_plane(mdb_slices):
+    """The small MDB compiled as a one-shard search plane."""
+    with ShardedSearchPlane(mdb_slices, shard_slices=len(mdb_slices)) as plane:
+        yield plane
 
 
 @pytest.fixture(scope="session")

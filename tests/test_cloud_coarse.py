@@ -177,8 +177,7 @@ class TestCoarseCacheLifecycle:
             mdb,
             search=ExhaustiveSearch(
                 SearchConfig(two_stage="fast", coarse_keep_fraction=0.2,
-                             top_k=3),
-                precompute=True,
+                             top_k=3)
             ),
         )
         before, _ = server.handle_frame(frame)

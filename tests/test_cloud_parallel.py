@@ -93,11 +93,11 @@ class TestParallelSearch:
             for m in result.matches
         )
 
-    def test_chunked_equals_single_engine(self, mdb_slices, seizure_recording):
+    def test_chunked_equals_single_engine(
+        self, mdb_slices, mdb_plane, seizure_recording
+    ):
         frame = filtered_frame(seizure_recording, 84)
-        single = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            frame, mdb_slices
-        )
+        single = SlidingWindowSearch(SearchConfig()).search(frame, mdb_plane)
         chunked = ParallelSearch(SearchConfig(), n_chunks=5).search(
             frame, mdb_slices
         )
@@ -105,11 +105,11 @@ class TestParallelSearch:
         assert chunked.correlations_evaluated == single.correlations_evaluated
         assert chunked.slices_searched == single.slices_searched
 
-    def test_single_chunk_degenerate(self, mdb_slices, seizure_recording):
+    def test_single_chunk_degenerate(
+        self, mdb_slices, mdb_plane, seizure_recording
+    ):
         frame = filtered_frame(seizure_recording, 84)
-        single = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            frame, mdb_slices
-        )
+        single = SlidingWindowSearch(SearchConfig()).search(frame, mdb_plane)
         chunked = ParallelSearch(SearchConfig(), n_chunks=1).search(
             frame, mdb_slices
         )

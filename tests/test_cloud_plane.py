@@ -4,9 +4,9 @@ Covers the plane's memory layout and caches (a one-shard
 :class:`~repro.cloud.shards.ShardedSearchPlane` and its
 :class:`~repro.cloud.plane.PlaneCore`), CloudServer freshness
 (generation-driven refresh), and the cross-mode equivalence property:
-scalar mode, precompute mode, plane-backed mode and ``ParallelSearch``
-(serial and pooled) must admit identical matches and evaluate the same
-number of correlations.
+the plane-backed mode and ``ParallelSearch`` (serial and pooled) must
+admit the scalar oracle's matches and evaluate the same number of
+correlations.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from repro.cloud.plane import PlaneCore
 from repro.cloud.search import (
     ExhaustiveSearch,
     FixedSkipPolicy,
+    ScalarWindowEvaluator,
     SearchConfig,
     SlidingWindowSearch,
-    _full_correlations,
 )
 from repro.cloud.shards import ShardedSearchPlane
 from repro.errors import SearchError
@@ -96,7 +96,7 @@ class TestSearchPlane:
         with pytest.raises(SearchError, match="empty"):
             ShardedSearchPlane([])
 
-    def test_correlations_bit_identical_to_precompute(self):
+    def test_correlations_bit_identical_to_scalar_oracle(self):
         slices = _random_slices(1, n=8)
         core = _core(_one_shard(slices))
         frame = _query(1)
@@ -105,7 +105,10 @@ class TestSearchPlane:
         for index, sig_slice in enumerate(slices):
             if len(sig_slice) < 256:
                 continue
-            reference = _full_correlations(centered, norm, sig_slice.data)
+            evaluate = ScalarWindowEvaluator(sig_slice.data, centered, norm)
+            reference = np.array(
+                [evaluate(offset) for offset in range(len(sig_slice) - 255)]
+            )
             np.testing.assert_array_equal(
                 core.correlations(index, centered, norm), reference
             )
@@ -197,9 +200,7 @@ class TestCloudServerRefresh:
             data=planted_data, label=AnomalyType.SEIZURE, slice_id="planted"
         )
         mdb = _mdb_from(slices)
-        server = CloudServer(
-            mdb, search=ExhaustiveSearch(SearchConfig(), precompute=True)
-        )
+        server = CloudServer(mdb, search=ExhaustiveSearch(SearchConfig()))
         before, _ = server.handle_frame(frame)
         assert server.n_slices == 12
         assert all(m.sig_slice.slice_id != "planted" for m in before.matches)
@@ -236,33 +237,24 @@ class TestModeEquivalence:
 
     CONFIG = SearchConfig(delta=0.6, top_k=25)
 
-    def _engines(self, exhaustive: bool):
+    def _engine(self, exhaustive: bool):
         if exhaustive:
-            return (
-                ExhaustiveSearch(self.CONFIG),
-                ExhaustiveSearch(self.CONFIG, precompute=True),
-                FixedSkipPolicy(1),
-            )
-        return (
-            SlidingWindowSearch(self.CONFIG),
-            SlidingWindowSearch(self.CONFIG, precompute=True),
-            None,
-        )
+            return ExhaustiveSearch(self.CONFIG), FixedSkipPolicy(1)
+        return SlidingWindowSearch(self.CONFIG), None
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1), exhaustive=st.booleans())
     @settings(max_examples=10, deadline=None)
     def test_all_modes_identical(self, seed, exhaustive):
         slices = _random_slices(seed, n=14, min_len=200, max_len=900)
         frame = _query(seed)
-        scalar_engine, fast_engine, policy = self._engines(exhaustive)
-        scalar = scalar_engine.search(frame, slices)
-        precomputed = fast_engine.search(frame, slices)
-        planed = fast_engine.search(frame, _one_shard(slices))
+        engine, policy = self._engine(exhaustive)
+        scalar = engine.search(frame, slices)
+        planed = engine.search(frame, _one_shard(slices))
         parallel = ParallelSearch(
             self.CONFIG, n_chunks=3, n_workers=1, policy=policy
         ).search(frame, slices)
         reference = _match_key(scalar)
-        for result in (precomputed, planed, parallel):
+        for result in (planed, parallel):
             assert _match_key(result) == reference
             assert result.correlations_evaluated == scalar.correlations_evaluated
             assert result.slices_searched == scalar.slices_searched
@@ -276,8 +268,8 @@ class TestModeEquivalence:
     def test_pooled_workers_identical_and_pool_reused(self, seed, exhaustive):
         slices = _random_slices(seed, n=20)
         frame = _query(seed)
-        scalar_engine, _, policy = self._engines(exhaustive)
-        scalar = scalar_engine.search(frame, slices)
+        engine, policy = self._engine(exhaustive)
+        scalar = engine.search(frame, slices)
         with ParallelSearch(
             self.CONFIG, n_chunks=4, n_workers=2, policy=policy
         ) as pooled:

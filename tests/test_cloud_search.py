@@ -73,6 +73,35 @@ class TestSkipPolicies:
         policy = ExponentialSkipPolicy()
         assert 1 <= policy.skip(omega) <= policy.max_skip
 
+    @given(
+        st.lists(
+            st.one_of(
+                # 0, 1, the default omega_floor, and the omegas where
+                # skip_scale * alpha / omega lands on a rounding half.
+                st.sampled_from(
+                    [0.0, 1.0, 0.05] + [0.54 / (k + 0.5) for k in range(1, 11)]
+                ),
+                st.floats(min_value=0.0, max_value=1.0),
+            ),
+            min_size=1,
+            max_size=64,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_skip_table_equals_skip_elementwise(self, omegas):
+        """The plane walks step with ``skip_table``; the scalar oracle
+        with ``skip``.  They must agree at every ω."""
+        values = np.asarray(omegas, dtype=np.float64)
+        for policy in (
+            FixedSkipPolicy(1),
+            FixedSkipPolicy(3),
+            ExponentialSkipPolicy(),
+            ExponentialSkipPolicy(max_skip=10),
+        ):
+            table = policy.skip_table(values)
+            assert table.dtype == np.int64
+            assert table.tolist() == [policy.skip(omega) for omega in omegas]
+
 
 class TestSearchEngines:
     def test_finds_embedded_window(self):
@@ -98,57 +127,33 @@ class TestSearchEngines:
         result = ExhaustiveSearch(SearchConfig()).search(rng.standard_normal(256), slices)
         assert result.correlations_evaluated == 745
 
-    def test_algorithm1_evaluates_fewer(self, mdb_slices, query_frame):
-        exhaustive = ExhaustiveSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices
-        )
-        algorithm1 = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices
+    def test_algorithm1_evaluates_fewer(self, mdb_plane, query_frame):
+        exhaustive = ExhaustiveSearch(SearchConfig()).search(query_frame, mdb_plane)
+        algorithm1 = SlidingWindowSearch(SearchConfig()).search(
+            query_frame, mdb_plane
         )
         assert algorithm1.correlations_evaluated < exhaustive.correlations_evaluated
         ratio = exhaustive.correlations_evaluated / algorithm1.correlations_evaluated
         assert 3.0 < ratio < 20.0  # paper: ~6.8x
 
-    def test_precompute_mode_identical(self, mdb_slices, query_frame):
-        scalar = SlidingWindowSearch(SearchConfig()).search(
-            query_frame, mdb_slices[:60]
-        )
-        fast = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices[:60]
-        )
-        assert scalar.correlations_evaluated == fast.correlations_evaluated
-        assert len(scalar.matches) == len(fast.matches)
-        for a, b in zip(scalar.matches, fast.matches):
-            assert a.sig_slice.slice_id == b.sig_slice.slice_id
-            assert a.offset == b.offset
-            assert a.omega == pytest.approx(b.omega, abs=1e-9)
-
-    def test_matches_sorted_descending(self, mdb_slices, query_frame):
-        result = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            query_frame, mdb_slices
-        )
+    def test_matches_sorted_descending(self, mdb_plane, query_frame):
+        result = SlidingWindowSearch(SearchConfig()).search(query_frame, mdb_plane)
         omegas = [match.omega for match in result.matches]
         assert omegas == sorted(omegas, reverse=True)
 
-    def test_all_matches_above_delta(self, mdb_slices, query_frame):
+    def test_all_matches_above_delta(self, mdb_plane, query_frame):
         config = SearchConfig(delta=0.8)
-        result = SlidingWindowSearch(config, precompute=True).search(
-            query_frame, mdb_slices
-        )
+        result = SlidingWindowSearch(config).search(query_frame, mdb_plane)
         assert all(match.omega > 0.8 for match in result.matches)
 
-    def test_top_k_respected(self, mdb_slices, query_frame):
+    def test_top_k_respected(self, mdb_plane, query_frame):
         config = SearchConfig(delta=0.1, top_k=7)
-        result = ExhaustiveSearch(config, precompute=True).search(
-            query_frame, mdb_slices
-        )
+        result = ExhaustiveSearch(config).search(query_frame, mdb_plane)
         assert len(result.matches) == 7
 
-    def test_dedupe_per_slice(self, mdb_slices, query_frame):
+    def test_dedupe_per_slice(self, mdb_plane, query_frame):
         config = SearchConfig(delta=0.1, top_k=50)
-        result = ExhaustiveSearch(config, precompute=True).search(
-            query_frame, mdb_slices
-        )
+        result = ExhaustiveSearch(config).search(query_frame, mdb_plane)
         ids = [match.sig_slice.slice_id for match in result.matches]
         assert len(set(ids)) == len(ids)
 
@@ -182,37 +187,55 @@ class TestSearchEngines:
         frame = query_frame.copy()
         frame[17] = bad
         plane = ShardedSearchPlane(mdb_slices[:20], shard_slices=8)
-        for precompute in (False, True):
-            with pytest.raises(SearchError, match="NaN or infinite"):
-                SlidingWindowSearch(
-                    SearchConfig(), precompute=precompute
-                ).search(frame, mdb_slices[:5])
+        with pytest.raises(SearchError, match="NaN or infinite"):
+            SlidingWindowSearch(SearchConfig()).search(frame, mdb_slices[:5])
         for two_stage in ("off", "fast"):
-            engine = SlidingWindowSearch(
-                SearchConfig(two_stage=two_stage), precompute=True
-            )
+            engine = SlidingWindowSearch(SearchConfig(two_stage=two_stage))
             with pytest.raises(SearchError, match="NaN or infinite"):
                 engine.search(frame, plane)
             with pytest.raises(SearchError, match="NaN or infinite"):
                 engine.search_batch([query_frame, frame], plane)
         plane.close()
 
+    @pytest.mark.parametrize(
+        "cast",
+        [
+            lambda frame: frame + 1j,
+            lambda frame: frame.astype(str),
+            lambda frame: np.full(frame.shape, "x"),
+        ],
+        ids=["complex", "numeric-string", "string"],
+    )
+    def test_rejects_non_real_frame_on_every_path(
+        self, mdb_slices, mdb_plane, query_frame, cast
+    ):
+        """Regression: a float64 cast dropped a complex frame's imaginary
+        part and parsed a numeric string frame, then searched the result;
+        a non-numeric string frame escaped as a bare ``ValueError``."""
+        frame = cast(query_frame)
+        engine = SlidingWindowSearch(SearchConfig())
+        with pytest.raises(SearchError, match="real numbers"):
+            engine.search(frame, mdb_slices[:5])
+        with pytest.raises(SearchError, match="real numbers"):
+            engine.search(frame, mdb_plane)
+        with pytest.raises(SearchError, match="real numbers"):
+            engine.search_batch([query_frame, frame], mdb_plane)
+
     def test_flat_frame_is_valid_and_matches_nothing(self, mdb_slices):
         frame = np.full(256, 3.0)
         scalar = SlidingWindowSearch(SearchConfig()).search(frame, mdb_slices[:5])
         plane = ShardedSearchPlane(mdb_slices[:5])
-        planed = SlidingWindowSearch(SearchConfig(), precompute=True).search(
-            frame, plane
-        )
+        planed = SlidingWindowSearch(SearchConfig()).search(frame, plane)
         for result in (scalar, planed):
             assert result.matches == []
         assert planed.correlations_evaluated == scalar.correlations_evaluated
         plane.close()
 
     def test_omega_clamped_non_negative(self, mdb_slices, query_frame):
-        result = ExhaustiveSearch(
-            SearchConfig(delta=0.0, top_k=10_000), precompute=True
-        ).search(query_frame, mdb_slices[:30])
+        with ShardedSearchPlane(mdb_slices[:30], shard_slices=30) as plane:
+            result = ExhaustiveSearch(
+                SearchConfig(delta=0.0, top_k=10_000)
+            ).search(query_frame, plane)
         assert all(match.omega >= 0.0 for match in result.matches)
 
 

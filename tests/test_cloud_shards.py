@@ -111,8 +111,7 @@ class TestBitIdentity:
         if split < len(slices):
             assert sharded.refresh()
         engine = SlidingWindowSearch(
-            SearchConfig(two_stage=two_stage, frame_samples=samples),
-            precompute=True,
+            SearchConfig(two_stage=two_stage, frame_samples=samples)
         )
         frame = _query(seed, samples)
         mono = engine.search(frame, _one_shard(slices))
@@ -128,9 +127,7 @@ class TestBitIdentity:
     def test_batch_path_equals_monolithic(self, seed, shard_slices, two_stage):
         slices = _random_slices(seed, n=10)
         sharded = ShardedSearchPlane(slices, shard_slices=shard_slices)
-        engine = SlidingWindowSearch(
-            SearchConfig(two_stage=two_stage), precompute=True
-        )
+        engine = SlidingWindowSearch(SearchConfig(two_stage=two_stage))
         frames = [_query(seed + i) for i in range(3)]
         batch = engine.search_batch(frames, sharded)
         mono_plane = _one_shard(slices)
@@ -141,7 +138,7 @@ class TestBitIdentity:
     def test_exhaustive_engine_matches(self):
         slices = _random_slices(21, n=9)
         sharded = ShardedSearchPlane(slices, shard_slices=4)
-        engine = ExhaustiveSearch(SearchConfig(), precompute=True)
+        engine = ExhaustiveSearch(SearchConfig())
         frame = _query(21)
         _assert_identical(
             engine.search(frame, sharded),
@@ -256,7 +253,7 @@ class TestIncrementalCompile:
         slices = _random_slices(8, n=6, max_len=400)
         mdb = _mdb_from(slices)
         plane = ShardedSearchPlane(mdb, shard_slices=3)
-        engine = SlidingWindowSearch(SearchConfig(), precompute=True)
+        engine = SlidingWindowSearch(SearchConfig())
         frame = _query(8)
         pinned = plane.pin()
         before = engine.search_shards(frame, pinned)
@@ -315,7 +312,7 @@ class TestParallelSharded:
     def test_serial_chunks_match_monolithic(self):
         slices = _random_slices(13, n=12, min_len=200, max_len=600)
         frame = _query(13)
-        mono = SlidingWindowSearch(SearchConfig(), precompute=True).search(
+        mono = SlidingWindowSearch(SearchConfig()).search(
             frame, _one_shard(slices)
         )
         sharded = ShardedSearchPlane(slices, shard_slices=5)
@@ -329,7 +326,7 @@ class TestParallelSharded:
         slices = _random_slices(14, n=12, min_len=200, max_len=600)
         frame = _query(14)
         config = SearchConfig(two_stage="fast")
-        mono = SlidingWindowSearch(config, precompute=True).search(
+        mono = SlidingWindowSearch(config).search(
             frame, _one_shard(slices)
         )
         sharded = ShardedSearchPlane(slices, shard_slices=4)
@@ -366,15 +363,14 @@ class ShardedPlaneMachine(RuleBasedStateMachine):
         # prune and the heap evict, so shard-order merge or screening
         # bugs change its answers.
         self.engines = {
-            "off": SlidingWindowSearch(SearchConfig(), precompute=True),
+            "off": SlidingWindowSearch(SearchConfig()),
             "fast": SlidingWindowSearch(
                 SearchConfig(
                     two_stage="fast",
                     delta=0.1,
                     top_k=2,
                     coarse_keep_fraction=0.5,
-                ),
-                precompute=True,
+                )
             ),
         }
         self.oracle = SlidingWindowSearch(SearchConfig())

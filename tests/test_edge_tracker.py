@@ -8,6 +8,7 @@ from repro.edge.tracker import (
     DEFAULT_AREA_THRESHOLD,
     SignalTracker,
     TrackerConfig,
+    check_frame,
 )
 from repro.errors import TrackingError
 from repro.signals.types import AnomalyType, SignalSlice
@@ -141,6 +142,23 @@ class TestStep:
         tracker.load([match_for(rng.standard_normal(1000))])
         with pytest.raises(TrackingError, match="256"):
             tracker.step(np.ones(100))
+
+    @pytest.mark.parametrize(
+        "frame",
+        [np.ones(256) + 1j, np.full(256, "1"), np.full(256, "x")],
+        ids=["complex", "numeric-string", "string"],
+    )
+    def test_rejects_non_real_frame(self, rng, frame):
+        """Regression: a float64 cast dropped a complex frame's imaginary
+        part and parsed a numeric string frame, then tracked the result;
+        a non-numeric string frame escaped as a bare ``ValueError``."""
+        tracker = SignalTracker()
+        tracker.load([match_for(rng.standard_normal(1000))])
+        with pytest.raises(TrackingError, match="real numbers"):
+            tracker.step(frame)
+        assert tracker.tracked_count == 1
+        with pytest.raises(TrackingError, match="session 's1'.*real numbers"):
+            check_frame(frame, 256, " for session 's1'")
 
     def test_probability_tracks_composition(self, rng):
         frame = rng.standard_normal(256)

@@ -203,9 +203,7 @@ class TestTwoStageUnderChaos:
 
         return CloudServer(
             plane,
-            search=SlidingWindowSearch(
-                SearchConfig(two_stage=mode), precompute=True
-            ),
+            search=SlidingWindowSearch(SearchConfig(two_stage=mode)),
         )
 
     @pytest.mark.parametrize("mode", ["fast"])

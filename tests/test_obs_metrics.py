@@ -134,22 +134,6 @@ class TestRegistry:
         registry.observe("network.upload_s", 1.5)
         assert json.loads(registry.to_json()) == registry.as_dict()
 
-    def test_merge_dict_folds_worker_documents(self, registry):
-        registry.inc("shared.count", 5)
-        worker = MetricsRegistry(enabled=True)
-        worker.inc("shared.count", 3)
-        worker.set_gauge("worker.level", 2.0)
-        for value in (1.0, 2.0, 3.0, 10.0):
-            worker.observe("worker.latency_s", value)
-        registry.merge_dict(worker.as_dict())
-        assert registry.counter_value("shared.count") == 8
-        assert registry.gauge_value("worker.level") == 2.0
-        folded = registry.histogram("worker.latency_s")
-        assert folded.count == 4
-        assert folded.min == 1.0
-        assert folded.max == 10.0
-        assert folded.mean == pytest.approx(4.0)
-
     def test_reset_drops_everything(self, registry):
         registry.inc("a")
         registry.observe("b", 1.0)

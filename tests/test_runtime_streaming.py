@@ -41,6 +41,20 @@ class TestPushMechanics:
         with pytest.raises(SignalError, match="1-D"):
             monitor.push(np.zeros((2, 10)))
 
+    @pytest.mark.parametrize(
+        "chunk",
+        [np.ones(512) + 1j, np.full(512, "1"), np.full(512, "x")],
+        ids=["complex", "numeric-string", "string"],
+    )
+    def test_rejects_non_real_chunk(self, monitor, chunk):
+        """Regression: a float64 cast dropped a complex chunk's imaginary
+        part and parsed a numeric string chunk, then streamed the result;
+        a non-numeric string chunk escaped as a bare ``ValueError``."""
+        with pytest.raises(SignalError, match="real numbers"):
+            monitor.push(chunk)
+        assert monitor.updates == []
+        assert monitor.buffered_samples == 0
+
     def test_first_frame_issues_cloud_call(self, monitor):
         recording = EEGGenerator(seed=2).record(1.0)
         updates = monitor.push(recording.data)

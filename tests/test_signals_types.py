@@ -65,6 +65,15 @@ class TestSignal:
         with pytest.raises(SignalError, match="NaN or infinite"):
             Signal(data=np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize(
+        "data",
+        [np.ones(4) + 1j, np.full(4, "1"), np.full(4, "x")],
+        ids=["complex", "numeric-string", "string"],
+    )
+    def test_rejects_non_real(self, data):
+        with pytest.raises(SignalError, match="real numbers"):
+            Signal(data=data)
+
     def test_rejects_bad_rate(self):
         with pytest.raises(SignalError, match="sample rate"):
             Signal(data=np.ones(4), sample_rate_hz=0.0)
