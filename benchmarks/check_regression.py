@@ -1,114 +1,34 @@
-"""CI benchmark-regression gates: Fig. 7(b) scaling + plane throughput.
+"""CI benchmark-regression gate: one table of checks over seven benches.
 
-**Fig. 7(b) gate** — runs the exploration-time scaling experiment
-(exhaustive vs Algorithm 1) with the ``repro.obs`` layer enabled,
-exports the collected metrics document, and compares the run against a
-committed baseline (``benchmarks/baselines/fig7b.json``).  It fails
-when:
+Each row of :data:`GATES` names a bench, its committed baseline under
+``benchmarks/baselines/`` and the checks its summary must pass.  Every
+gate first compares ``summary["config"]`` with the baseline's (a run
+at another MDB scale, seed or database size is not comparable), then
+runs its checks.  A check is ``(field, kind, bound, reason)``:
 
-* **correlations evaluated** by either engine at any database size
-  drift by more than ``--threshold`` (default 20 %) — the search is
-  seeded and deterministic, so any drift is an algorithmic change;
-* **search wall-time** regresses by more than the threshold.  Wall
-  time is gated through the *speedup ratio* (exhaustive time /
-  Algorithm 1 time, the paper's ~6.8× headline): absolute seconds vary
-  with host hardware, but the ratio is self-normalising because both
-  engines run the identical inner loop on the same machine.  Pass
-  ``--strict-time`` to additionally gate absolute Algorithm 1 seconds
-  against the baseline (only meaningful when baseline and run share
-  hardware).
+* ``identity`` — the field must be ``True``: the fast path's answers
+  are bit-identical to its reference arm.  Never acceptable to lose.
+* ``count`` — the field must equal the baseline's exactly (lists
+  compare whole).  These counts are seeded and deterministic, so any
+  drift is an algorithmic change.
+* ``floor`` — the field must be ≥ ``bound``.  Every floored field is a
+  speedup of one arm over another on the same host, so it is
+  self-normalising and needs no baseline hardware match.
+* ``ratio`` — the field must be ≥ baseline × (1 − ``--threshold``):
+  Fig. 7(b)'s exhaustive / Algorithm 1 time, the paper's ~6.8×
+  headline, gated relative to its own baseline.
+* ``ceiling`` — every element must be ≤ baseline × (1 + threshold).
+  Absolute seconds only match on the baseline's own hardware, so only
+  ``--strict-time`` turns this kind on.
 
-**Plane-throughput gate** — serves the same request stream through the
-legacy per-request path and a compiled one-shard
-:class:`~repro.cloud.shards.ShardedSearchPlane`
-(``benchmarks/baselines/plane_throughput.json``).  It fails when:
-
-* the two arms stop being **bit-identical** (matches or
-  ``correlations_evaluated`` diverge) — never acceptable;
-* ``correlations_per_query`` drifts from the baseline (deterministic,
-  so drift is an algorithmic change);
-* the plane speedup falls below the **3x absolute floor** — like the
-  Fig. 7(b) speedup ratio this is self-normalising (both arms run on
-  the same host), so no baseline hardware match is needed.
-
-**Edge-plane gate** — tracks the same candidate set and frame stream
-through the scalar per-candidate loop, the compiled
-:class:`~repro.edge.plane.CompiledTrackingEngine` and the batched
-:class:`~repro.edge.fleet.FleetTracker`
-(``benchmarks/baselines/edge_plane_throughput.json``).  It fails when:
-
-* any arm stops being **bit-identical** to the scalar tracker (areas,
-  offsets, removals or evaluation counts diverge) — never acceptable;
-* ``evaluations_per_frame`` drifts from the baseline (deterministic,
-  so drift is an algorithmic change);
-* the plane speedup falls below the **3x absolute floor** at 100
-  candidates, or the fleet speedup below **2x** — both
-  self-normalising ratios (all arms run on the same host).
-
-**Gateway gate** — serves the same concurrent request stream through a
-``max_batch=1`` gateway (solo walks) and the production coalescing
-gateway (``benchmarks/baselines/gateway_throughput.json``).  It fails
-when:
-
-* the two arms stop being **bit-identical** (matches or
-  ``correlations_evaluated`` diverge) — never acceptable;
-* ``correlations_per_request`` drifts from the baseline
-  (deterministic, so drift is an algorithmic change);
-* the coalescing speedup falls below the **0.75x floor** — coalescing
-  must never *meaningfully* cost throughput.  The coalescing win is
-  dispatch amortisation, so the measured ratio sits near 1x (0.9–1.3x
-  observed depending on MDB scale and host load); the floor catches a
-  regression that makes shared batch walks outright costly, and both
-  arms run best-of-rounds on the same host so the ratio is
-  self-normalising;
-* batches stop forming under concurrent load (mean batch size
-  collapses toward 1).
-
-**Two-stage gate** — serves the same request stream over the same
-compiled plane single-stage and with fast coarse screening
-(``benchmarks/baselines/two_stage_throughput.json``).  It fails when:
-
-* ``fast_pruned_per_query`` drifts from the baseline (the coarse
-  screen is deterministic, so drift is an algorithmic change);
-* the fast-mode speedup falls below the **2x absolute floor** over the
-  single-stage plane path — self-normalising, both arms share the
-  host.  Fast-mode *quality* is gated separately by the Fig. 11 bench
-  (``test_bench_two_stage_throughput.py``).
-
-**Shard gate** — runs the same single-document insert stream against
-a one-shard full-rebuild plane and the sharded delta-refresh plane
-(``benchmarks/baselines/shard_throughput.json``).  It fails when:
-
-* the sharded results stop being **bit-identical** to the one-shard
-  plane after any insert — never acceptable;
-* ``shards_compiled`` drifts from the baseline — each single-document
-  insert must compile exactly its delta shard (content addressing is
-  deterministic, so drift means reuse broke);
-* the delta-refresh speedup falls below the **5x absolute floor** over
-  the full rebuild — self-normalising, both arms share the host.  The
-  floor is the sharded plane's reason to exist: an online-growing MDB
-  must adopt a single inserted slice without paying the whole store's
-  recompile.
-
-**Fleet gate** — steps a 1000-session x 10-candidate fleet through the
-fused one-call step and the sequential one-call-per-pair loop
-(``benchmarks/baselines/fleet_throughput.json``).  It fails when:
-
-* any session's tracking steps stop being **bit-identical** between
-  the two arms — never acceptable;
-* ``evaluations_per_frame`` drifts from the baseline (deterministic,
-  so drift is an algorithmic change);
-* the fused speedup falls below the **4x absolute floor** —
-  self-normalising (both arms share the host), and sized for a
-  multi-core CI runner: the fused win is one kernel dispatch per
-  step instead of one per (session, candidate) pair, plus the
-  kernel's thread pool.
-
+The run prints one report table (gate | field | kind | value | bound |
+ok) and, on failure, one line per failed check with its reason.
 Regenerate the baselines after an intentional change with::
 
     python benchmarks/check_regression.py --update
 
-Exit status: 0 = within budget, 1 = regression, 2 = missing baseline.
+``--skip NAME`` (repeatable) leaves a gate out.  Exit status: 0 =
+within budget, 1 = regression, 2 = missing baseline.
 """
 
 from __future__ import annotations
@@ -117,74 +37,80 @@ import argparse
 import json
 import os
 import sys
+import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if "repro" not in sys.modules:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+import edge_plane_throughput  # noqa: E402
+import fleet_throughput  # noqa: E402
+import gateway_throughput  # noqa: E402
+import plane_throughput  # noqa: E402
+import shard_throughput  # noqa: E402
+import two_stage_throughput  # noqa: E402
+
 from repro import obs  # noqa: E402
 from repro.eval.experiments import fig7_alpha_sweep  # noqa: E402
 from repro.eval.experiments.common import build_fixture  # noqa: E402
 
-DEFAULT_BASELINE = REPO_ROOT / "benchmarks" / "baselines" / "fig7b.json"
-DEFAULT_PLANE_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "plane_throughput.json"
-)
-DEFAULT_EDGE_PLANE_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "edge_plane_throughput.json"
-)
-DEFAULT_GATEWAY_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "gateway_throughput.json"
-)
-DEFAULT_TWO_STAGE_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "two_stage_throughput.json"
-)
-DEFAULT_SHARD_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "shard_throughput.json"
-)
-DEFAULT_FLEET_BASELINE = (
-    REPO_ROOT / "benchmarks" / "baselines" / "fleet_throughput.json"
-)
+BASELINE_DIR = REPO_ROOT / "benchmarks" / "baselines"
 DEFAULT_METRICS_OUT = REPO_ROOT / "benchmark_reports" / "fig7b_obs_metrics.json"
 DEFAULT_DB_SIZES = (500, 1000, 2000)
-PLANE_SPEEDUP_FLOOR = 3.0
-PLANE_N_QUERIES = 12
-GATEWAY_SPEEDUP_FLOOR = 0.75
-GATEWAY_N_REQUESTS = 96
 GATEWAY_CONCURRENCY = 32
-GATEWAY_ROUNDS = 3
-GATEWAY_MIN_MEAN_BATCH = GATEWAY_CONCURRENCY / 4
-EDGE_PLANE_SPEEDUP_FLOOR = 3.0
-EDGE_FLEET_SPEEDUP_FLOOR = 2.0
-EDGE_PLANE_CANDIDATES = 100
-EDGE_PLANE_N_FRAMES = 12
-TWO_STAGE_SPEEDUP_FLOOR = 2.0
-TWO_STAGE_N_QUERIES = 12
-SHARD_DELTA_SPEEDUP_FLOOR = 5.0
-SHARD_SLICES_PER_SHARD = 16
-SHARD_N_INSERTS = 4
 #: 4x on a multi-core runner (CI): dispatch amortisation + the
 #: kernel's thread pool.  A single-core host only gets the dispatch
 #: amortisation, so the floor relaxes there.
 FLEET_SPEEDUP_FLOOR = 4.0 if (os.cpu_count() or 1) >= 2 else 2.5
-FLEET_SESSIONS = 1000
-FLEET_CANDIDATES_PER_SESSION = 10
-FLEET_UNIQUE_SLICES = 20
-FLEET_N_FRAMES = 3
+
+IDENTITY, COUNT, FLOOR, RATIO, CEILING = "identity", "count", "floor", "ratio", "ceiling"
+DETERMINISTIC = "deterministic, so this is an algorithmic change"
+DIVERGED = ": matches or correlations_evaluated are no longer bit-identical"
+STEPS = ": areas, offsets, removals or evaluation counts are no longer bit-identical"
+
+Check = tuple[str, str, float | None, str]
 
 
-def run_benchmark(mdb_scale: float, seed: int, db_sizes: tuple[int, ...]) -> dict:
-    """One instrumented scaling run, summarised for baseline/compare."""
+@dataclass(frozen=True)
+class Gate:
+    """One bench: how to run it, where its baseline lives, what to check."""
+
+    name: str
+    baseline: str
+    run: Callable[[argparse.Namespace], dict[str, Any]]
+    checks: tuple[Check, ...]
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """One evaluated check — a row of the report table."""
+
+    gate: str
+    field: str
+    kind: str
+    value: Any
+    bound: str
+    ok: bool
+    reason: str
+
+
+def _fig7b(args: argparse.Namespace) -> dict[str, Any]:
+    """Instrumented Fig. 7(b) scaling run; exports the obs metrics doc."""
     obs.reset()
     obs.enable()
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = fig7_alpha_sweep.run_scaling(fixture, db_sizes=db_sizes)
-    summary = {
+    fixture = build_fixture(mdb_scale=args.mdb_scale, seed=args.seed)
+    result = fig7_alpha_sweep.run_scaling(fixture, db_sizes=tuple(args.db_sizes))
+    args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
+    args.metrics_out.write_text(json.dumps(obs.export()["metrics"], indent=2) + "\n")
+    print(f"obs metrics written to {args.metrics_out}")
+    return {
         "config": {
-            "mdb_scale": mdb_scale,
-            "seed": seed,
-            "db_sizes": list(db_sizes),
+            "mdb_scale": args.mdb_scale,
+            "seed": args.seed,
+            "db_sizes": list(args.db_sizes),
         },
         "db_sizes": result.db_sizes,
         "exhaustive_correlations": result.exhaustive_correlations,
@@ -194,359 +120,260 @@ def run_benchmark(mdb_scale: float, seed: int, db_sizes: tuple[int, ...]) -> dic
         "mean_speedup": result.mean_speedup,
         "mean_correlation_reduction": result.mean_correlation_reduction,
     }
-    return summary
 
 
-def run_plane_benchmark(mdb_scale: float, seed: int) -> dict:
-    """One plane-throughput run, summarised for baseline/compare."""
-    import plane_throughput
-
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = plane_throughput.run_throughput(fixture, n_queries=PLANE_N_QUERIES)
-    return plane_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
+def _fixture(args: argparse.Namespace) -> Any:
+    return build_fixture(mdb_scale=args.mdb_scale, seed=args.seed)
 
 
-def run_edge_plane_benchmark(seed: int) -> dict:
-    """One edge-plane tracking run, summarised for baseline/compare."""
-    import edge_plane_throughput
+GATES: tuple[Gate, ...] = (
+    Gate(
+        "fig7b",
+        "fig7b.json",
+        _fig7b,
+        (
+            ("exhaustive_correlations", COUNT, None, f"the search is {DETERMINISTIC}"),
+            ("algorithm1_correlations", COUNT, None, f"the search is {DETERMINISTIC}"),
+            (
+                "mean_speedup",
+                RATIO,
+                None,
+                "search wall-time regressed (exhaustive / Algorithm 1 time "
+                "is self-normalising: both engines share the host)",
+            ),
+            (
+                "algorithm1_time_s",
+                CEILING,
+                None,
+                "absolute Algorithm 1 wall-time regressed (same-host baseline)",
+            ),
+        ),
+    ),
+    Gate(
+        "plane",
+        "plane_throughput.json",
+        lambda args: plane_throughput.summarize(
+            plane_throughput.run_throughput(_fixture(args), n_queries=12),
+            mdb_scale=args.mdb_scale,
+            seed=args.seed,
+        ),
+        (
+            ("identical", IDENTITY, None, f"plane diverged from the legacy path{DIVERGED}"),
+            ("correlations_per_query", COUNT, None, f"the search is {DETERMINISTIC}"),
+            ("speedup", FLOOR, 3.0, "serving-path regression"),
+        ),
+    ),
+    Gate(
+        "edge-plane",
+        "edge_plane_throughput.json",
+        lambda args: edge_plane_throughput.summarize(
+            edge_plane_throughput.run_tracking_throughput(
+                candidates=100, n_frames=12, seed=args.seed
+            ),
+            seed=args.seed,
+        ),
+        (
+            ("identical", IDENTITY, None, f"plane/fleet diverged from the scalar tracker{STEPS}"),
+            ("evaluations_per_frame", COUNT, None, f"the scan is {DETERMINISTIC}"),
+            ("speedup", FLOOR, 3.0, "tracking-path regression at 100 candidates"),
+            ("fleet_speedup", FLOOR, 2.0, "batched-stepping regression"),
+        ),
+    ),
+    Gate(
+        "gateway",
+        "gateway_throughput.json",
+        lambda args: gateway_throughput.summarize(
+            gateway_throughput.run_gateway_throughput(
+                _fixture(args),
+                n_requests=96,
+                concurrency=GATEWAY_CONCURRENCY,
+                rounds=3,
+            ),
+            mdb_scale=args.mdb_scale,
+            seed=args.seed,
+        ),
+        (
+            ("identical", IDENTITY, None, f"coalesced walks diverged from solo walks{DIVERGED}"),
+            ("correlations_per_request", COUNT, None, f"the search is {DETERMINISTIC}"),
+            # Coalescing wins by dispatch amortisation, so the ratio sits
+            # near 1x (0.9-1.3x by MDB scale and host load); the floor
+            # catches shared batch walks turning outright costly.
+            ("speedup", FLOOR, 0.75, "coalescing now costs throughput"),
+            (
+                "mean_batch_size",
+                FLOOR,
+                GATEWAY_CONCURRENCY / 4,
+                f"requests stopped coalescing at concurrency {GATEWAY_CONCURRENCY}",
+            ),
+        ),
+    ),
+    Gate(
+        "two-stage",
+        "two_stage_throughput.json",
+        lambda args: two_stage_throughput.summarize(
+            two_stage_throughput.run_two_stage(_fixture(args), n_queries=12),
+            mdb_scale=args.mdb_scale,
+            seed=args.seed,
+        ),
+        (
+            ("fast_pruned_per_query", COUNT, None, f"the coarse screen is {DETERMINISTIC}"),
+            # Fast-mode *quality* is gated by the Fig. 11 bench
+            # (test_bench_two_stage_throughput.py), not here.
+            ("fast_speedup", FLOOR, 2.0, "screening regression over the single-stage plane"),
+        ),
+    ),
+    Gate(
+        "shards",
+        "shard_throughput.json",
+        lambda args: shard_throughput.summarize(
+            shard_throughput.run_shard_throughput(
+                _fixture(args), shard_slices=16, n_inserts=4
+            ),
+            mdb_scale=args.mdb_scale,
+            seed=args.seed,
+        ),
+        (
+            ("identical", IDENTITY, None, f"shards diverged from one shard on insert{DIVERGED}"),
+            (
+                "shards_compiled",
+                COUNT,
+                None,
+                "content addressing is deterministic, so an insert stopped "
+                "compiling exactly its delta shard",
+            ),
+            # The sharded plane's reason to exist: an online-growing MDB
+            # adopts one inserted slice without the whole store's recompile.
+            ("delta_speedup", FLOOR, 5.0, "incremental compilation regression"),
+        ),
+    ),
+    Gate(
+        "fleet",
+        "fleet_throughput.json",
+        lambda args: fleet_throughput.summarize(
+            fleet_throughput.run_fleet_throughput(
+                sessions=1000,
+                candidates_per_session=10,
+                unique_slices=20,
+                n_frames=3,
+                seed=args.seed,
+            ),
+            seed=args.seed,
+        ),
+        (
+            ("identical", IDENTITY, None, f"fused steps diverged from the sequential loop{STEPS}"),
+            ("evaluations_per_frame", COUNT, None, f"the scan is {DETERMINISTIC}"),
+            ("speedup", FLOOR, FLEET_SPEEDUP_FLOOR, "fused-stepping regression at 1000 sessions"),
+        ),
+    ),
+)
+GATE_NAMES = tuple(gate.name for gate in GATES)
 
-    result = edge_plane_throughput.run_tracking_throughput(
-        candidates=EDGE_PLANE_CANDIDATES,
-        n_frames=EDGE_PLANE_N_FRAMES,
-        seed=seed,
-    )
-    return edge_plane_throughput.summarize(result, seed=seed)
+
+#: Every gate's first check: a baseline from another MDB scale, seed or
+#: database size describes another run, so nothing else is comparable.
+CONFIG_CHECK: Check = ("config", COUNT, None, "the baseline describes another run")
 
 
-def run_two_stage_benchmark(mdb_scale: float, seed: int) -> dict:
-    """One two-stage throughput run, summarised for baseline/compare."""
-    import two_stage_throughput
-
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = two_stage_throughput.run_two_stage(
-        fixture, n_queries=TWO_STAGE_N_QUERIES
-    )
-    return two_stage_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
-
-
-def run_shard_benchmark(mdb_scale: float, seed: int) -> dict:
-    """One sharded-plane adoption run, summarised for baseline/compare."""
-    import shard_throughput
-
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = shard_throughput.run_shard_throughput(
-        fixture,
-        shard_slices=SHARD_SLICES_PER_SHARD,
-        n_inserts=SHARD_N_INSERTS,
-    )
-    return shard_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
+def _fmt(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.3g}"
+    if isinstance(value, dict):
+        return " ".join(f"{key}={_fmt(item)}" for key, item in value.items())
+    if isinstance(value, list):
+        if len(value) > 3:
+            return f"[{_fmt(value[0])}, … {len(value)} items]"
+        return "[" + ", ".join(_fmt(item) for item in value) + "]"
+    return str(value)
 
 
-def run_fleet_benchmark(seed: int) -> dict:
-    """One fused-fleet stepping run, summarised for baseline/compare."""
-    import fleet_throughput
-
-    result = fleet_throughput.run_fleet_throughput(
-        sessions=FLEET_SESSIONS,
-        candidates_per_session=FLEET_CANDIDATES_PER_SESSION,
-        unique_slices=FLEET_UNIQUE_SLICES,
-        n_frames=FLEET_N_FRAMES,
-        seed=seed,
-    )
-    return fleet_throughput.summarize(result, seed=seed)
+def _difference(value: Any, reference: Any) -> str:
+    """Where a count check's value first departs from the baseline."""
+    if isinstance(value, list) and isinstance(reference, list):
+        for at, (item, expected) in enumerate(zip(value, reference)):
+            if item != expected:
+                return f"[{at}] is {item}, baseline {expected}"
+        return f"{len(value)} items, baseline {len(reference)}"
+    return f"baseline {_fmt(reference)}"
 
 
-def run_gateway_benchmark(mdb_scale: float, seed: int) -> dict:
-    """One gateway-throughput run, summarised for baseline/compare."""
-    import gateway_throughput
-
-    fixture = build_fixture(mdb_scale=mdb_scale, seed=seed)
-    result = gateway_throughput.run_gateway_throughput(
-        fixture,
-        n_requests=GATEWAY_N_REQUESTS,
-        concurrency=GATEWAY_CONCURRENCY,
-        rounds=GATEWAY_ROUNDS,
-    )
-    return gateway_throughput.summarize(result, mdb_scale=mdb_scale, seed=seed)
-
-
-def relative_drift(current: float, baseline: float) -> float:
-    """Signed drift of ``current`` from ``baseline`` (0.2 = +20 %)."""
-    if baseline == 0:
-        return 0.0 if current == 0 else float("inf")
-    return (current - baseline) / baseline
-
-
-def compare(
-    summary: dict,
-    baseline: dict,
+def evaluate(
+    gate: Gate,
+    summary: dict[str, Any],
+    baseline: dict[str, Any],
     threshold: float,
     strict_time: bool,
-) -> list[str]:
-    """Return the list of gate failures (empty = pass)."""
-    failures: list[str] = []
-    if summary["db_sizes"] != baseline["db_sizes"]:
-        return [
-            f"db_sizes mismatch: run {summary['db_sizes']} vs "
-            f"baseline {baseline['db_sizes']} — regenerate with --update"
-        ]
-    for key in ("exhaustive_correlations", "algorithm1_correlations"):
-        for size, current, reference in zip(
-            summary["db_sizes"], summary[key], baseline[key]
-        ):
-            drift = relative_drift(current, reference)
-            if abs(drift) > threshold:
-                failures.append(
-                    f"{key}[{size}]: {current} vs baseline {reference} "
-                    f"({drift:+.1%} > ±{threshold:.0%})"
-                )
-    speedup_drift = relative_drift(
-        summary["mean_speedup"], baseline["mean_speedup"]
-    )
-    if speedup_drift < -threshold:
-        failures.append(
-            f"mean_speedup: {summary['mean_speedup']:.2f}x vs baseline "
-            f"{baseline['mean_speedup']:.2f}x ({speedup_drift:+.1%} "
-            f"< -{threshold:.0%}) — search wall-time regressed"
-        )
-    if strict_time:
-        for size, current, reference in zip(
-            summary["db_sizes"],
-            summary["algorithm1_time_s"],
-            baseline["algorithm1_time_s"],
-        ):
-            drift = relative_drift(current, reference)
-            if drift > threshold:
-                failures.append(
-                    f"algorithm1_time_s[{size}]: {current:.3f}s vs baseline "
-                    f"{reference:.3f}s ({drift:+.1%} > {threshold:.0%})"
-                )
-    return failures
+) -> list[Outcome]:
+    """Every check of ``gate`` on ``summary`` against ``baseline``.
+
+    The config check runs first; when it fails, it is the only outcome.
+    """
+    out: list[Outcome] = []
+    for field, kind, bound, reason in (CONFIG_CHECK, *gate.checks):
+        value = summary[field]
+        reference = baseline.get(field)
+        if kind == IDENTITY:
+            ok, shown = bool(value), "True"
+        elif kind == COUNT:
+            ok, shown = value == reference, "= baseline"
+            if not ok:
+                reason = f"{_difference(value, reference)}: {reason}"
+        elif kind == FLOOR:
+            assert bound is not None
+            ok, shown = value >= bound, f">= {bound:g}"
+        elif kind == RATIO:
+            limit = reference * (1 - threshold)
+            ok, shown = value >= limit, f">= {limit:.3g}"
+        elif kind == CEILING:
+            if not strict_time:
+                continue
+            limits = [item * (1 + threshold) for item in reference]
+            ok = all(item <= limit for item, limit in zip(value, limits))
+            shown = f"<= {_fmt(limits)}"
+        else:
+            raise ValueError(f"unknown check kind {kind!r} on {gate.name}.{field}")
+        out.append(Outcome(gate.name, field, kind, value, shown, ok, reason))
+        if field == "config" and not ok:
+            break
+    return out
 
 
-def compare_plane(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the plane-throughput bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "plane results diverged from the legacy path — matches or "
-            "correlations_evaluated are no longer bit-identical"
-        )
-    if summary["correlations_per_query"] != baseline["correlations_per_query"]:
-        failures.append(
-            "correlations_per_query drifted from baseline "
-            f"({summary['correlations_per_query']} vs "
-            f"{baseline['correlations_per_query']}) — the search is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["speedup"] < PLANE_SPEEDUP_FLOOR:
-        failures.append(
-            f"plane speedup {summary['speedup']:.2f}x fell below the "
-            f"{PLANE_SPEEDUP_FLOOR:.0f}x floor (baseline "
-            f"{baseline['speedup']:.2f}x) — serving-path regression"
-        )
-    return failures
-
-
-def compare_edge_plane(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the edge-plane tracking bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "edge plane/fleet tracking diverged from the scalar tracker — "
-            "areas, offsets, removals or evaluation counts are no longer "
-            "bit-identical"
-        )
-    if summary["evaluations_per_frame"] != baseline["evaluations_per_frame"]:
-        failures.append(
-            "edge evaluations_per_frame drifted from baseline "
-            f"({summary['evaluations_per_frame']} vs "
-            f"{baseline['evaluations_per_frame']}) — the scan is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["speedup"] < EDGE_PLANE_SPEEDUP_FLOOR:
-        failures.append(
-            f"edge plane speedup {summary['speedup']:.2f}x fell below the "
-            f"{EDGE_PLANE_SPEEDUP_FLOOR:.0f}x floor at "
-            f"{summary['candidates']} candidates (baseline "
-            f"{baseline['speedup']:.2f}x, kernel={summary['kernel']}) — "
-            "tracking-path regression"
-        )
-    if summary["fleet_speedup"] < EDGE_FLEET_SPEEDUP_FLOOR:
-        failures.append(
-            f"edge fleet speedup {summary['fleet_speedup']:.2f}x fell below "
-            f"the {EDGE_FLEET_SPEEDUP_FLOOR:.0f}x floor (baseline "
-            f"{baseline['fleet_speedup']:.2f}x) — batched-stepping regression"
-        )
-    return failures
-
-
-def compare_gateway(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the gateway-throughput bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "gateway coalesced results diverged from solo walks — matches "
-            "or correlations_evaluated are no longer bit-identical"
-        )
-    if (
-        summary["correlations_per_request"]
-        != baseline["correlations_per_request"]
-    ):
-        failures.append(
-            "gateway correlations_per_request drifted from baseline — the "
-            "search is deterministic, so this is an algorithmic change"
-        )
-    if summary["speedup"] < GATEWAY_SPEEDUP_FLOOR:
-        failures.append(
-            f"gateway coalescing speedup {summary['speedup']:.2f}x fell "
-            f"below the {GATEWAY_SPEEDUP_FLOOR:.2f}x floor (baseline "
-            f"{baseline['speedup']:.2f}x) — coalescing now costs throughput"
-        )
-    if summary["mean_batch_size"] < GATEWAY_MIN_MEAN_BATCH:
-        failures.append(
-            f"gateway mean batch size {summary['mean_batch_size']:.1f} fell "
-            f"below {GATEWAY_MIN_MEAN_BATCH:.0f} at concurrency "
-            f"{summary['concurrency']} — requests stopped coalescing"
-        )
-    return failures
-
-
-def compare_two_stage(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the two-stage search bench (empty = pass)."""
-    failures: list[str] = []
-    if summary["fast_pruned_per_query"] != baseline["fast_pruned_per_query"]:
-        failures.append(
-            "fast_pruned_per_query drifted from baseline "
-            f"({summary['fast_pruned_per_query']} vs "
-            f"{baseline['fast_pruned_per_query']}) — the coarse screen is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["fast_speedup"] < TWO_STAGE_SPEEDUP_FLOOR:
-        failures.append(
-            f"fast two-stage speedup {summary['fast_speedup']:.2f}x fell "
-            f"below the {TWO_STAGE_SPEEDUP_FLOOR:.0f}x floor over the "
-            f"single-stage plane path (baseline "
-            f"{baseline['fast_speedup']:.2f}x) — screening regression"
-        )
-    return failures
-
-
-def compare_shards(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the sharded-plane adoption bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "sharded plane results diverged from the one-shard plane "
-            "after an insert — matches or correlations_evaluated are no "
-            "longer bit-identical"
-        )
-    if summary["shards_compiled"] != baseline["shards_compiled"]:
-        failures.append(
-            "shards_compiled drifted from baseline "
-            f"({summary['shards_compiled']} vs "
-            f"{baseline['shards_compiled']}) — content addressing is "
-            "deterministic, so an insert stopped compiling exactly its "
-            "delta shard"
-        )
-    if summary["delta_speedup"] < SHARD_DELTA_SPEEDUP_FLOOR:
-        failures.append(
-            f"shard delta-refresh speedup {summary['delta_speedup']:.2f}x "
-            f"fell below the {SHARD_DELTA_SPEEDUP_FLOOR:.0f}x floor over "
-            f"the full rebuild (baseline {baseline['delta_speedup']:.2f}x) "
-            "— incremental compilation regression"
-        )
-    return failures
-
-
-def compare_fleet(summary: dict, baseline: dict) -> list[str]:
-    """Gate failures for the fused-fleet stepping bench (empty = pass)."""
-    failures: list[str] = []
-    if not summary["identical"]:
-        failures.append(
-            "fused fleet stepping diverged from the sequential loop — "
-            "areas, offsets, removals or evaluation counts are no longer "
-            "bit-identical"
-        )
-    if summary["evaluations_per_frame"] != baseline["evaluations_per_frame"]:
-        failures.append(
-            "fleet evaluations_per_frame drifted from baseline "
-            f"({summary['evaluations_per_frame']} vs "
-            f"{baseline['evaluations_per_frame']}) — the scan is "
-            "deterministic, so this is an algorithmic change"
-        )
-    if summary["speedup"] < FLEET_SPEEDUP_FLOOR:
-        failures.append(
-            f"fused fleet speedup {summary['speedup']:.2f}x fell below the "
-            f"{FLEET_SPEEDUP_FLOOR:g}x floor at {summary['sessions']} "
-            f"sessions (baseline {baseline['speedup']:.2f}x, "
-            f"kernel={summary['kernel']}, threads={summary['threads']}) — "
-            "fused-stepping regression"
-        )
-    return failures
+def report(outcomes: list[Outcome]) -> None:
+    """Print the one report table, then each failure with its reason."""
+    header = ("gate", "field", "kind", "value", "bound", "ok")
+    rows = [header] + [
+        (o.gate, o.field, o.kind, _fmt(o.value), o.bound, "ok" if o.ok else "FAIL")
+        for o in outcomes
+    ]
+    widths = [max(len(row[col]) for row in rows) for col in range(len(header))]
+    for row in rows:
+        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    for o in outcomes:
+        if not o.ok:
+            print(
+                f"  - {o.gate}.{o.field} ({o.kind}) {_fmt(o.value)}, want {o.bound}"
+                f" — {o.reason}",
+                file=sys.stderr,
+            )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", type=Path, default=DEFAULT_BASELINE)
     parser.add_argument(
-        "--plane-baseline", type=Path, default=DEFAULT_PLANE_BASELINE
+        "--skip",
+        action="append",
+        default=[],
+        choices=GATE_NAMES,
+        metavar="NAME",
+        help=f"leave a gate out (repeatable; one of {', '.join(GATE_NAMES)})",
     )
     parser.add_argument(
-        "--skip-plane",
-        action="store_true",
-        help="skip the serving-plane throughput gate",
-    )
-    parser.add_argument(
-        "--edge-plane-baseline",
-        type=Path,
-        default=DEFAULT_EDGE_PLANE_BASELINE,
-    )
-    parser.add_argument(
-        "--skip-edge-plane",
-        action="store_true",
-        help="skip the edge tracking-plane throughput gate",
-    )
-    parser.add_argument(
-        "--gateway-baseline", type=Path, default=DEFAULT_GATEWAY_BASELINE
-    )
-    parser.add_argument(
-        "--skip-gateway",
-        action="store_true",
-        help="skip the serving-gateway throughput gate",
-    )
-    parser.add_argument(
-        "--two-stage-baseline", type=Path, default=DEFAULT_TWO_STAGE_BASELINE
-    )
-    parser.add_argument(
-        "--skip-two-stage",
-        action="store_true",
-        help="skip the two-stage search throughput gate",
-    )
-    parser.add_argument(
-        "--shard-baseline", type=Path, default=DEFAULT_SHARD_BASELINE
-    )
-    parser.add_argument(
-        "--skip-shards",
-        action="store_true",
-        help="skip the sharded-plane incremental-compile gate",
-    )
-    parser.add_argument(
-        "--fleet-baseline", type=Path, default=DEFAULT_FLEET_BASELINE
-    )
-    parser.add_argument(
-        "--skip-fleet",
-        action="store_true",
-        help="skip the fused fleet-stepping throughput gate",
-    )
-    parser.add_argument(
-        "--update", action="store_true", help="rewrite the baseline and exit 0"
+        "--update", action="store_true", help="rewrite the baselines and exit 0"
     )
     parser.add_argument(
         "--threshold",
         type=float,
         default=0.2,
-        help="allowed relative drift (0.2 = 20%%)",
+        help="allowed relative drift for ratio/ceiling checks (0.2 = 20%%)",
     )
     parser.add_argument(
         "--strict-time",
@@ -555,238 +382,47 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--mdb-scale", type=float, default=0.3)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--db-sizes", type=int, nargs="+", default=list(DEFAULT_DB_SIZES)
-    )
+    parser.add_argument("--db-sizes", type=int, nargs="+", default=list(DEFAULT_DB_SIZES))
     parser.add_argument(
         "--metrics-out",
         type=Path,
         default=DEFAULT_METRICS_OUT,
-        help="where to write the exported repro.obs metrics document",
+        help="where to write the Fig. 7(b) run's repro.obs metrics document",
     )
     args = parser.parse_args(argv)
 
-    summary = run_benchmark(args.mdb_scale, args.seed, tuple(args.db_sizes))
-    args.metrics_out.parent.mkdir(parents=True, exist_ok=True)
-    args.metrics_out.write_text(
-        json.dumps(obs.export()["metrics"], indent=2) + "\n"
-    )
-    print(f"obs metrics written to {args.metrics_out}")
-    print(
-        "run: speedup {0:.2f}x, correlation reduction {1:.2f}x".format(
-            summary["mean_speedup"], summary["mean_correlation_reduction"]
-        )
-    )
-
-    plane_summary = None
-    if not args.skip_plane:
-        plane_summary = run_plane_benchmark(args.mdb_scale, args.seed)
-        print(
-            "plane: speedup {0:.2f}x ({1} queries, identical={2})".format(
-                plane_summary["speedup"],
-                plane_summary["n_queries"],
-                plane_summary["identical"],
-            )
-        )
-
-    edge_summary = None
-    if not args.skip_edge_plane:
-        edge_summary = run_edge_plane_benchmark(args.seed)
-        print(
-            "edge plane: speedup {0:.2f}x, fleet {1:.2f}x "
-            "({2} candidates, kernel={3}, identical={4})".format(
-                edge_summary["speedup"],
-                edge_summary["fleet_speedup"],
-                edge_summary["candidates"],
-                edge_summary["kernel"],
-                edge_summary["identical"],
-            )
-        )
-
-    gateway_summary = None
-    if not args.skip_gateway:
-        gateway_summary = run_gateway_benchmark(args.mdb_scale, args.seed)
-        print(
-            "gateway: speedup {0:.2f}x (mean batch {1:.1f}, "
-            "{2} requests, identical={3})".format(
-                gateway_summary["speedup"],
-                gateway_summary["mean_batch_size"],
-                gateway_summary["n_requests"],
-                gateway_summary["identical"],
-            )
-        )
-
-    two_stage_summary = None
-    if not args.skip_two_stage:
-        two_stage_summary = run_two_stage_benchmark(args.mdb_scale, args.seed)
-        print(
-            "two-stage: fast {0:.2f}x ({1} queries)".format(
-                two_stage_summary["fast_speedup"],
-                two_stage_summary["n_queries"],
-            )
-        )
-
-    fleet_summary = None
-    if not args.skip_fleet:
-        fleet_summary = run_fleet_benchmark(args.seed)
-        print(
-            "fleet: fused {0:.2f}x over sequential ({1} sessions x {2} "
-            "candidates, kernel={3}, threads={4}, identical={5})".format(
-                fleet_summary["speedup"],
-                fleet_summary["sessions"],
-                fleet_summary["candidates_per_session"],
-                fleet_summary["kernel"],
-                fleet_summary["threads"],
-                fleet_summary["identical"],
-            )
-        )
-
-    shard_summary = None
-    if not args.skip_shards:
-        shard_summary = run_shard_benchmark(args.mdb_scale, args.seed)
-        print(
-            "shards: delta refresh {0:.2f}x over full rebuild "
-            "({1} inserts, {2} compiled / {3} reused, identical={4})".format(
-                shard_summary["delta_speedup"],
-                shard_summary["config"]["n_inserts"],
-                shard_summary["shards_compiled"],
-                shard_summary["shards_reused"],
-                shard_summary["identical"],
-            )
-        )
-
-    if args.update:
-        args.baseline.parent.mkdir(parents=True, exist_ok=True)
-        args.baseline.write_text(json.dumps(summary, indent=2) + "\n")
-        print(f"baseline updated: {args.baseline}")
-        if plane_summary is not None:
-            args.plane_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.plane_baseline.write_text(
-                json.dumps(plane_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.plane_baseline}")
-        if edge_summary is not None:
-            args.edge_plane_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.edge_plane_baseline.write_text(
-                json.dumps(edge_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.edge_plane_baseline}")
-        if gateway_summary is not None:
-            args.gateway_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.gateway_baseline.write_text(
-                json.dumps(gateway_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.gateway_baseline}")
-        if two_stage_summary is not None:
-            args.two_stage_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.two_stage_baseline.write_text(
-                json.dumps(two_stage_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.two_stage_baseline}")
-        if shard_summary is not None:
-            args.shard_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.shard_baseline.write_text(
-                json.dumps(shard_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.shard_baseline}")
-        if fleet_summary is not None:
-            args.fleet_baseline.parent.mkdir(parents=True, exist_ok=True)
-            args.fleet_baseline.write_text(
-                json.dumps(fleet_summary, indent=2) + "\n"
-            )
-            print(f"baseline updated: {args.fleet_baseline}")
-        return 0
-
+    gates = [gate for gate in GATES if gate.name not in args.skip]
     missing = [
-        path
-        for path in (
-            [args.baseline]
-            + ([args.plane_baseline] if plane_summary is not None else [])
-            + ([args.edge_plane_baseline] if edge_summary is not None else [])
-            + ([args.gateway_baseline] if gateway_summary is not None else [])
-            + (
-                [args.two_stage_baseline]
-                if two_stage_summary is not None
-                else []
-            )
-            + ([args.shard_baseline] if shard_summary is not None else [])
-            + ([args.fleet_baseline] if fleet_summary is not None else [])
-        )
-        if not path.exists()
+        BASELINE_DIR / gate.baseline
+        for gate in gates
+        if not (BASELINE_DIR / gate.baseline).exists()
     ]
-    if missing:
+    if missing and not args.update:
         for path in missing:
-            print(
-                f"no baseline at {path}; run with --update to create one",
-                file=sys.stderr,
-            )
+            print(f"no baseline at {path}; run with --update to create one", file=sys.stderr)
         return 2
 
-    baseline = json.loads(args.baseline.read_text())
-    failures = compare(summary, baseline, args.threshold, args.strict_time)
-    if plane_summary is not None:
-        plane_baseline = json.loads(args.plane_baseline.read_text())
-        failures += compare_plane(plane_summary, plane_baseline)
-    if edge_summary is not None:
-        edge_baseline = json.loads(args.edge_plane_baseline.read_text())
-        failures += compare_edge_plane(edge_summary, edge_baseline)
-    if gateway_summary is not None:
-        gateway_baseline = json.loads(args.gateway_baseline.read_text())
-        failures += compare_gateway(gateway_summary, gateway_baseline)
-    if two_stage_summary is not None:
-        two_stage_baseline = json.loads(args.two_stage_baseline.read_text())
-        failures += compare_two_stage(two_stage_summary, two_stage_baseline)
-    if shard_summary is not None:
-        shard_baseline = json.loads(args.shard_baseline.read_text())
-        failures += compare_shards(shard_summary, shard_baseline)
-    if fleet_summary is not None:
-        fleet_baseline = json.loads(args.fleet_baseline.read_text())
-        failures += compare_fleet(fleet_summary, fleet_baseline)
-    if failures:
-        print("benchmark regression gate FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
+    outcomes: list[Outcome] = []
+    for gate in gates:
+        started = time.perf_counter()
+        summary = gate.run(args)
+        print(f"ran {gate.name} in {time.perf_counter() - started:.1f} s")
+        path = BASELINE_DIR / gate.baseline
+        if args.update:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(summary, indent=2) + "\n")
+            print(f"baseline updated: {path}")
+            continue
+        baseline = json.loads(path.read_text())
+        outcomes += evaluate(gate, summary, baseline, args.threshold, args.strict_time)
+    if args.update:
+        return 0
+
+    report(outcomes)
+    if not all(o.ok for o in outcomes):
+        print("benchmark regression gate FAILED", file=sys.stderr)
         return 1
-    print(
-        f"benchmark regression gate passed "
-        f"(±{args.threshold:.0%} vs {args.baseline.name}"
-        + (
-            f", {PLANE_SPEEDUP_FLOOR:.0f}x floor vs {args.plane_baseline.name}"
-            if plane_summary is not None
-            else ""
-        )
-        + (
-            f", {EDGE_PLANE_SPEEDUP_FLOOR:.0f}x edge floor vs "
-            f"{args.edge_plane_baseline.name}"
-            if edge_summary is not None
-            else ""
-        )
-        + (
-            f", {GATEWAY_SPEEDUP_FLOOR:.2f}x gateway floor vs "
-            f"{args.gateway_baseline.name}"
-            if gateway_summary is not None
-            else ""
-        )
-        + (
-            f", {TWO_STAGE_SPEEDUP_FLOOR:.0f}x two-stage floor vs "
-            f"{args.two_stage_baseline.name}"
-            if two_stage_summary is not None
-            else ""
-        )
-        + (
-            f", {SHARD_DELTA_SPEEDUP_FLOOR:.0f}x shard floor vs "
-            f"{args.shard_baseline.name}"
-            if shard_summary is not None
-            else ""
-        )
-        + (
-            f", {FLEET_SPEEDUP_FLOOR:g}x fleet floor vs "
-            f"{args.fleet_baseline.name}"
-            if fleet_summary is not None
-            else ""
-        )
-        + ")"
-    )
+    print(f"benchmark regression gate passed ({len(outcomes)} checks over {len(gates)} gates)")
     return 0
 
 

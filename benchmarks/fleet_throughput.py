@@ -20,7 +20,7 @@ anomaly probabilities.  The area threshold is set high enough that no
 candidate prunes, so every timed frame carries the full
 ``sessions x candidates x offsets`` load.  Used by
 ``test_bench_fleet_throughput.py`` and the ``check_regression.py`` CI
-gate (the ``--skip-fleet`` / ``--fleet-baseline`` arm).
+gate (its ``fleet`` row).
 """
 
 from __future__ import annotations

@@ -380,7 +380,6 @@ class ParallelSearch:
     def _publish_parallel(merged: SearchResult) -> None:
         registry = obs.metrics()
         if registry.enabled:
-            registry.observe("cloud.parallel.elapsed_s", merged.elapsed_s)
             for chunk_s in merged.chunk_elapsed_s:
                 registry.observe("cloud.parallel.chunk_elapsed_s", chunk_s)
 

@@ -392,7 +392,6 @@ class ShardedSearchPlane:
         metrics = obs.metrics()
         if metrics.enabled:
             metrics.inc("cloud.plane.builds")
-            metrics.observe("cloud.plane.build_s", span.elapsed_s)
             metrics.set_gauge("cloud.plane.slices", len(slices))
             metrics.set_gauge("cloud.plane.compiled_bytes", epoch.nbytes)
             metrics.set_gauge("cloud.plane.shard.count", len(shards))

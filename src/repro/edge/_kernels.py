@@ -759,8 +759,10 @@ def kernel_backend() -> str:
 def kernel_threads() -> int:
     """Threads the kernel spreads its pairs over.
 
-    ``EMAP_KERNEL_THREADS`` pins the count; the default is the host's
-    CPU count.  Clamped to [1, 64].  Thread count never changes
+    ``EMAP_KERNEL_THREADS`` pins the count; the default is the number
+    of CPUs this process may run on (its affinity mask, so ``taskset``
+    or a cpuset does not oversubscribe), else the host's CPU count
+    where the platform has no affinity call.  Clamped to [1, 64].  Thread count never changes
     results — every pair is independent — only wall time, so this is
     a performance dial, not a correctness one.
     """
@@ -773,7 +775,8 @@ def kernel_threads() -> int:
                 f"EMAP_KERNEL_THREADS must be an integer, got {value!r}"
             ) from None
     else:
-        threads = os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        threads = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
     return max(1, min(threads, _MAX_THREADS))
 
 

@@ -28,7 +28,6 @@ it under churn).
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from typing import Mapping, Sequence
 
@@ -180,7 +179,6 @@ class FleetTracker:
             batch.append(
                 (session, check_frame(frame, size, f" for session {session_id!r}"))
             )
-        started = time.perf_counter()
         with obs.trace.span("edge.fleet.step", sessions=len(batch)) as span:
             outcomes, slices = step_sessions(self._cache, batch, fused=self.fused)
         steps: dict[str, TrackingStep] = {}
@@ -195,11 +193,10 @@ class FleetTracker:
                 removed_signals=outcome.removed,
             )
         if self.fused:
-            self._record_plan(slices, time.perf_counter() - started)
+            self._record_plan(slices, span.elapsed_s)
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("edge.fleet.steps")
-            registry.observe("edge.fleet.step_s", span.elapsed_s)
             registry.inc(
                 "edge.fleet.area_evaluations",
                 sum(step.area_evaluations for step in steps.values()),
@@ -215,7 +212,6 @@ class FleetTracker:
         self.last_fused_step_s = elapsed_s
         registry = obs.metrics()
         if registry.enabled:
-            registry.observe("edge.fleet.fused_step_s", elapsed_s)
             registry.observe("edge.fleet.fused_groups", len(groups))
             for size in groups.values():
                 registry.observe("edge.fleet.fused_queries_per_group", size)

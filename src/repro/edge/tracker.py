@@ -340,7 +340,6 @@ class SignalTracker:
         registry.inc("edge.tracker.area_evaluations", step.area_evaluations)
         registry.inc("edge.tracker.candidates_pruned", step.removed)
         registry.set_gauge("edge.tracker.tracked", step.tracked_after)
-        registry.observe("edge.tracker.step_s", elapsed_s)
         if elapsed_s > 0:
             registry.observe(
                 "edge.tracker.evaluations_per_s", step.area_evaluations / elapsed_s

@@ -34,7 +34,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.search.stage2_s": "histogram",
     # -- compiled search plane ----------------------------------------
     "cloud.plane.builds": "counter",
-    "cloud.plane.build_s": "histogram",
     "cloud.plane.slices": "gauge",
     "cloud.plane.compiled_bytes": "gauge",
     "cloud.plane.shared_bytes": "gauge",
@@ -56,7 +55,6 @@ METRIC_NAMES: dict[str, str] = {
     "cloud.plane.shard.full_compile_s": "histogram",
     "cloud.plane.shard.merge_s": "histogram",
     # -- partitioned / pooled search ----------------------------------
-    "cloud.parallel.elapsed_s": "histogram",
     "cloud.parallel.chunk_elapsed_s": "histogram",
     "cloud.parallel.pool_builds": "counter",
     "cloud.parallel.pool_reuse": "counter",
@@ -88,10 +86,8 @@ METRIC_NAMES: dict[str, str] = {
     "edge.tracker.area_evaluations": "counter",
     "edge.tracker.candidates_pruned": "counter",
     "edge.tracker.tracked": "gauge",
-    "edge.tracker.step_s": "histogram",
     "edge.tracker.evaluations_per_s": "histogram",
     "edge.fleet.steps": "counter",
-    "edge.fleet.step_s": "histogram",
     "edge.fleet.area_evaluations": "counter",
     "edge.fleet.cache_hits": "counter",
     "edge.fleet.cache_misses": "counter",
@@ -99,7 +95,6 @@ METRIC_NAMES: dict[str, str] = {
     "edge.fleet.unique_slices": "gauge",
     "edge.fleet.tracked_references": "gauge",
     "edge.fleet.compiled_bytes": "gauge",
-    "edge.fleet.fused_step_s": "histogram",
     "edge.fleet.fused_groups": "histogram",
     "edge.fleet.fused_queries_per_group": "histogram",
     "edge.fleet.fused_kernel_threads": "gauge",
@@ -124,7 +119,6 @@ METRIC_NAMES: dict[str, str] = {
     "runtime.cloud_failures": "counter",
     "runtime.initial_latency_s": "histogram",
     "runtime.stream.frames": "counter",
-    "runtime.stream.frame_s": "histogram",
     # -- network link --------------------------------------------------
     "network.uploads": "counter",
     "network.downloads": "counter",

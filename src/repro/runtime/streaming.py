@@ -182,7 +182,6 @@ class StreamingMonitor:
         registry = obs.metrics()
         if registry.enabled:
             registry.inc("runtime.stream.frames")
-            registry.observe("runtime.stream.frame_s", span.elapsed_s)
             # The live loop budget: each one-second frame must be fully
             # handled in under a second of host wall time.
             frame_budget_s = self.config.frame_samples / BASE_SAMPLE_RATE_HZ

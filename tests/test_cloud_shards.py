@@ -25,6 +25,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.cloud import search as search_module
 from repro.cloud.parallel import ParallelSearch
 from repro.cloud.search import (
     ExhaustiveSearch,
@@ -133,6 +134,34 @@ class TestBitIdentity:
         mono_plane = _one_shard(slices)
         for frame, got in zip(frames, batch):
             _assert_identical(got, engine.search(frame, mono_plane))
+        sharded.close()
+
+    @pytest.mark.parametrize("budget", [1, 1 << 23], ids=["over", "under"])
+    def test_batch_over_position_budget_equals_per_frame(
+        self, monkeypatch, budget
+    ):
+        """Over the joint-walk position budget a batch falls back to
+        per-query walks; under it, one joint walk runs.  Either way each
+        frame must answer as if it ran alone."""
+        monkeypatch.setattr(search_module, "_JOINT_POSITION_BUDGET", budget)
+        joint_walks = []
+        joint_visit = search_module._joint_visit
+
+        def spy(walkers):
+            joint_walks.append(len(walkers))
+            return joint_visit(walkers)
+
+        monkeypatch.setattr(search_module, "_joint_visit", spy)
+        # Shards wider than the straggler cutoff, so walks take rounds.
+        slices = _random_slices(7, n=40)
+        sharded = ShardedSearchPlane(slices, shard_slices=12)
+        engine = SlidingWindowSearch(SearchConfig())
+        frames = [_query(7 + i) for i in range(4)]
+        batch = engine.search_batch(frames, sharded)
+        assert len(joint_walks) == (0 if budget == 1 else 1)
+        for frame, got in zip(frames, batch):
+            _assert_identical(got, engine.search(frame, sharded))
+            _assert_identical(got, engine.search(frame, slices))
         sharded.close()
 
     def test_exhaustive_engine_matches(self):

@@ -116,7 +116,7 @@ class TestCLI:
         output = capsys.readouterr().out
         assert "edge:" in output  # the report grows the edge-leg line
         assert "fused fleet step" in output
-        assert "edge.fleet.fused_step_s" in output  # --obs metrics
+        assert "obs.span.edge.fleet.step.s" in output  # --obs metrics
 
     def test_serve_soak_exit_codes(self, capsys):
         args = [

@@ -318,9 +318,18 @@ class TestKernelThreads:
         assert kernel_threads() == 64
 
     def test_default_is_cpu_count(self, monkeypatch):
+        """Where the platform has no affinity call, the CPU count."""
         monkeypatch.delenv("EMAP_KERNEL_THREADS", raising=False)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         expected = max(1, min(os.cpu_count() or 1, 64))
         assert kernel_threads() == expected
+
+    def test_default_follows_affinity_mask(self, monkeypatch):
+        """Pinned to one CPU of eight, the pool must not oversubscribe."""
+        monkeypatch.delenv("EMAP_KERNEL_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert kernel_threads() == 1
 
     def test_garbage_rejected(self, monkeypatch):
         monkeypatch.setenv("EMAP_KERNEL_THREADS", "many")

@@ -195,7 +195,7 @@ class TestRegistryUnderSearch:
                 == expected
             )
             assert registry.counter_value("cloud.search.requests") == 6  # 2 × 3 chunks
-            assert registry.histogram("cloud.parallel.elapsed_s").count == 2
+            assert registry.histogram("obs.span.cloud.parallel_search.s").count == 2
             assert registry.histogram("cloud.parallel.chunk_elapsed_s").count == 6
         finally:
             obs.disable()
